@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -116,107 +117,136 @@ def parse_config_file(path) -> dict[str, str]:
     return flat
 
 
-def _config_defaults() -> dict[str, str]:
-    return run_config_items(RunConfig())
+def _format_vector(values) -> str:
+    return ",".join(format_float(v) for v in values)
+
+
+# (parser, formatter) pairs shared by the table rows
+_INT = (int, str)
+_FLOAT = (_parse_float, format_float)
+_STR = (str, str)
+_VECTOR3 = (lambda text: _parse_vector(text, 3), _format_vector)
+_LIMITS = (lambda text: _parse_vector(text, 2), _format_vector)
+_AXES = (lambda text: tuple(text.split(",")), ",".join)
+_ATTEMPTS = (lambda text: None if text == "auto" else int(text),
+             lambda value: "auto" if value is None else str(value))
+
+_ALL = ("generate", "train", "evaluate", "export")
+_GEN = ("generate",)
+_TRAIN = ("train",)
+
+# flat-key parts that name a RunConfig attribute differently
+_ATTRS = {"mrf": "mrf_config", "axes": "joint_axes", "limit": "joint_limits"}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One flat config key: its parser and formatter, the subcommands that
+    give it a dedicated ``--<flag>`` option, and its help text."""
+
+    key: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+    commands: tuple[str, ...]
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return self.key.rpartition(".")[2]
+
+    @property
+    def path(self) -> tuple:
+        """Attribute path inside RunConfig; a joint name indexes ``joint_limits``."""
+        return tuple(
+            JOINT_NAMES.index(part) if part in JOINT_NAMES else _ATTRS.get(part, part)
+            for part in self.key.split(".")
+        )
+
+
+# Every config key, in manifest order. Parsing, the run_config manifest, the
+# subcommand flags and their help are all derived from this table.
+# fmt: off
+FIELDS = (
+    Field("mode", *_STR, _TRAIN, "map variant to train: som (unrestricted) or mrf (masked)"),
+    Field("seed", *_INT, _ALL, "run seed; drives sampling, weight init, and shuffling"),
+    Field("out", *_STR, _ALL, "output directory (created if missing)"),
+    Field("dataset", *_STR, _TRAIN, "dataset CSV path, or synthesize:<n> to sample in-memory"),
+    Field("mask", *_STR, _TRAIN, f"receptive-field mask file, or '{DEFAULT_MASK}' for the "
+          "built-in 4x4 quadrant mask over the 7 joints"),
+    Field("n", *_INT, _GEN, "number of samples to generate"),
+    Field("max_attempts", *_ATTEMPTS, _GEN, "cap on sampling attempts ('auto' = 20000 per row)"),
+    Field("combination_threshold", *_FLOAT, _TRAIN,
+          "relative |weight| cutoff for combination coding"),
+    Field("lattice.rows", *_INT, _TRAIN, "lattice rows"),
+    Field("lattice.cols", *_INT, _TRAIN, "lattice cols"),
+    Field("lattice.layout", *_STR, _TRAIN, "lattice layout: hex-offset or rectangular"),
+    Field("lattice.metric", *_STR, _TRAIN, "lattice distance: manhattan or hex-axial"),
+    Field("schedule.epochs", *_INT, _TRAIN, "training epochs"),
+    Field("schedule.alpha0", *_FLOAT, _TRAIN, "initial learning rate"),
+    Field("schedule.alpha_end", *_FLOAT, _TRAIN, "final learning rate"),
+    Field("schedule.sigma0", *_FLOAT, _TRAIN, "initial neighborhood radius"),
+    Field("schedule.sigma_end", *_FLOAT, _TRAIN, "final neighborhood radius"),
+    Field("schedule.decay", *_STR, _TRAIN, "schedule decay: exponential or linear"),
+    Field("mrf.bmu_scope", *_STR, _TRAIN, "winner search: global-masked or per-group"),
+    Field("mrf.distance_normalization", *_STR, _TRAIN,
+          "masked distance scaling: rms-per-active-dim or unnormalized"),
+    Field("chain.shoulder_offset", *_VECTOR3, _GEN,
+          "shoulder position in torso frame, 'x,y,z' (m)"),
+    Field("chain.upper_arm", *_FLOAT, _GEN, "upper-arm link length (m)"),
+    Field("chain.forearm_hand", *_FLOAT, _GEN, "forearm+hand link length (m)"),
+    Field("chain.face_target", *_VECTOR3, _GEN, "face target in head frame, 'x,y,z' (m)"),
+    Field("chain.touch_radius", *_FLOAT, _GEN, "touch acceptance radius (m)"),
+    Field("chain.axes", *_AXES, (), "rotation axis (x, y or z) of each joint, comma-separated"),
+    *(Field(f"chain.limit.{name}", *_LIMITS, (), f"{name} angle limits 'lo,hi' (rad)")
+      for name in JOINT_NAMES),
+)
+# fmt: on
+
+
+def _assemble(default, tree):
+    """Rebuild ``default``'s type from parsed values nested by attribute path;
+    an index-keyed level becomes a tuple (insertion order is index order)."""
+    if not isinstance(tree, dict):
+        return tree
+    if not is_dataclass(default):
+        return tuple(tree.values())
+    return type(default)(**{k: _assemble(getattr(default, k), v) for k, v in tree.items()})
 
 
 def build_run_config(flat: dict[str, str]) -> RunConfig:
     """Typed RunConfig from a merged flat key=value mapping."""
-    merged = _config_defaults()
+    merged = dict(_DEFAULTS)
     for key, value in flat.items():
         if key not in merged:
             raise ValueError(f"unknown config key {key!r}")
         merged[key] = value
-
-    def req(key: str):
-        return merged[key]
-
     try:
-        limits = tuple(
-            _parse_vector(req(f"chain.limit.{name}"), 2) for name in JOINT_NAMES
-        )
-        axes = req("chain.axes").split(",")
-        chain = ChainSpec(
-            joint_limits=limits,
-            shoulder_offset=_parse_vector(req("chain.shoulder_offset"), 3),
-            upper_arm=_parse_float(req("chain.upper_arm")),
-            forearm_hand=_parse_float(req("chain.forearm_hand")),
-            face_target=_parse_vector(req("chain.face_target"), 3),
-            touch_radius=_parse_float(req("chain.touch_radius")),
-            joint_axes=tuple(axes),
-        )
-        lattice = LatticeSpec(
-            rows=int(req("lattice.rows")),
-            cols=int(req("lattice.cols")),
-            layout=req("lattice.layout"),
-            metric=req("lattice.metric"),
-        )
-        seed = int(req("seed"))
-        schedule = TrainSchedule(
-            epochs=int(req("schedule.epochs")),
-            alpha0=_parse_float(req("schedule.alpha0")),
-            alpha_end=_parse_float(req("schedule.alpha_end")),
-            sigma0=_parse_float(req("schedule.sigma0")),
-            sigma_end=_parse_float(req("schedule.sigma_end")),
-            decay=req("schedule.decay"),
-            seed=seed,
-        )
-        mrf_config = MrfConfig(
-            bmu_scope=req("mrf.bmu_scope"),
-            distance_normalization=req("mrf.distance_normalization"),
-        )
-        raw_attempts = req("max_attempts")
-        return RunConfig(
-            mode=req("mode"),
-            seed=seed,
-            out=req("out"),
-            dataset=req("dataset"),
-            mask=req("mask"),
-            n=int(req("n")),
-            max_attempts=None if raw_attempts == "auto" else int(raw_attempts),
-            combination_threshold=_parse_float(req("combination_threshold")),
-            lattice=lattice,
-            schedule=schedule,
-            mrf_config=mrf_config,
-            chain=chain,
-        )
+        tree: dict = {}
+        for field in FIELDS:
+            *parents, leaf = field.path
+            node = tree
+            for step in parents:
+                node = node.setdefault(step, {})
+            node[leaf] = field.parse(merged[field.key])
+        # the schedule shuffles with the run seed
+        tree["schedule"]["seed"] = tree["seed"]
+        return _assemble(RunConfig(), tree)
     except ValueError as exc:
         raise ValueError(f"invalid configuration: {exc}") from None
 
 
+def _lookup(obj, path: tuple):
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
+
+
 def run_config_items(cfg: RunConfig) -> dict[str, str]:
     """Canonical flat view of a RunConfig (the reproducibility manifest)."""
-    items: dict[str, str] = {
-        "mode": cfg.mode,
-        "seed": str(cfg.seed),
-        "out": cfg.out,
-        "dataset": cfg.dataset,
-        "mask": cfg.mask,
-        "n": str(cfg.n),
-        "max_attempts": "auto" if cfg.max_attempts is None else str(cfg.max_attempts),
-        "combination_threshold": format_float(cfg.combination_threshold),
-        "lattice.rows": str(cfg.lattice.rows),
-        "lattice.cols": str(cfg.lattice.cols),
-        "lattice.layout": cfg.lattice.layout,
-        "lattice.metric": cfg.lattice.metric,
-        "schedule.epochs": str(cfg.schedule.epochs),
-        "schedule.alpha0": format_float(cfg.schedule.alpha0),
-        "schedule.alpha_end": format_float(cfg.schedule.alpha_end),
-        "schedule.sigma0": format_float(cfg.schedule.sigma0),
-        "schedule.sigma_end": format_float(cfg.schedule.sigma_end),
-        "schedule.decay": cfg.schedule.decay,
-        "mrf.bmu_scope": cfg.mrf_config.bmu_scope,
-        "mrf.distance_normalization": cfg.mrf_config.distance_normalization,
-        "chain.shoulder_offset": ",".join(format_float(v) for v in cfg.chain.shoulder_offset),
-        "chain.upper_arm": format_float(cfg.chain.upper_arm),
-        "chain.forearm_hand": format_float(cfg.chain.forearm_hand),
-        "chain.face_target": ",".join(format_float(v) for v in cfg.chain.face_target),
-        "chain.touch_radius": format_float(cfg.chain.touch_radius),
-        "chain.axes": ",".join(cfg.chain.joint_axes),
-    }
-    for name, (lo, hi) in zip(JOINT_NAMES, cfg.chain.joint_limits):
-        items[f"chain.limit.{name}"] = f"{format_float(lo)},{format_float(hi)}"
-    return items
+    return {field.key: field.format(_lookup(cfg, field.path)) for field in FIELDS}
+
+
+_DEFAULTS = run_config_items(RunConfig())
 
 
 @dataclass
@@ -250,25 +280,9 @@ def model_to_dict(model: Model) -> dict:
         "version": 1,
         "mode": model.mode,
         "joints": list(model.joints),
-        "lattice": {
-            "rows": model.codebook.lattice.rows,
-            "cols": model.codebook.lattice.cols,
-            "layout": model.codebook.lattice.layout,
-            "metric": model.codebook.lattice.metric,
-        },
-        "mrf_config": {
-            "bmu_scope": model.mrf_config.bmu_scope,
-            "distance_normalization": model.mrf_config.distance_normalization,
-        },
-        "schedule": {
-            "epochs": model.schedule.epochs,
-            "alpha0": model.schedule.alpha0,
-            "alpha_end": model.schedule.alpha_end,
-            "sigma0": model.schedule.sigma0,
-            "sigma_end": model.schedule.sigma_end,
-            "decay": model.schedule.decay,
-            "seed": model.schedule.seed,
-        },
+        "lattice": asdict(model.codebook.lattice),
+        "mrf_config": asdict(model.mrf_config),
+        "schedule": asdict(model.schedule),
         "normalization": {
             "mean": [float(v) for v in model.normalization.mean],
             "std": [float(v) for v in model.normalization.std],
@@ -283,17 +297,52 @@ def save_model(model: Model, path) -> None:
     atomic_write_text(path, dump_json(model_to_dict(model)))
 
 
+# JSON types accepted for each scalar type of a model block field
+_JSON_KINDS = {int: int, float: (int, float), str: str}
+
+
 def _expect(doc: dict, key: str, kinds, path) -> object:
     if key not in doc:
         raise ParseError(f"{path}: missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
+    # bool is an int subclass; no model field is boolean
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ParseError(f"{path}: key {key!r} has unexpected type {type(value).__name__}")
     return value
 
 
-def load_model(path) -> Model:
-    """Strict reader for the model JSON; malformed content raises ParseError."""
+def _read_block(doc: dict, key: str, cls, path):
+    """Strict reader for a block that ``model_to_dict`` wrote with ``asdict``."""
+    block = _expect(doc, key, dict, path)
+    where = f"{path}: {key}"
+    unknown = sorted(block.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    values = {name: _expect(block, name, _JSON_KINDS[kind], where) for name, kind in kinds.items()}
+    try:
+        return cls(**{name: kinds[name](value) for name, value in values.items()})
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _read_mask(doc: dict, path) -> ReceptiveFieldMask | None:
+    raw = _expect(doc, "mask", (dict, type(None)), path)
+    if raw is None:
+        return None
+    where = f"{path}: mask"
+    groups = raw.get("groups")
+    return ReceptiveFieldMask(
+        rows=_expect(raw, "rows", int, where),
+        cols=_expect(raw, "cols", int, where),
+        mask=np.array(raw["mask"]),
+        groups=tuple(str(g) for g in groups) if groups is not None else None,
+    )
+
+
+def _read_model(path) -> tuple[Model, RunConfig]:
+    """Strict reader for the model JSON, plus its run_config resolved through
+    the config table; malformed or inconsistent content raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -309,68 +358,53 @@ def load_model(path) -> Model:
     mode = _expect(doc, "mode", str, path)
     if mode not in MODES:
         raise ParseError(f"{path}: unknown mode {mode!r}")
-    joints = tuple(_expect(doc, "joints", list, path))
-    lat = _expect(doc, "lattice", dict, path)
-    sched = _expect(doc, "schedule", dict, path)
+    joints = tuple(str(j) for j in _expect(doc, "joints", list, path))
+    lattice = _read_block(doc, "lattice", LatticeSpec, path)
+    schedule = _read_block(doc, "schedule", TrainSchedule, path)
     norm = _expect(doc, "normalization", dict, path)
-    mcfg = _expect(doc, "mrf_config", dict, path)
+    mrf_config = _read_block(doc, "mrf_config", MrfConfig, path)
     weights = _expect(doc, "codebook", list, path)
-    run_config = {str(k): str(v) for k, v in _expect(doc, "run_config", dict, path).items()}
+    run_config = _expect(doc, "run_config", dict, path)
+    for key in run_config:
+        _expect(run_config, key, str, f"{path}: run_config")
     try:
-        lattice = LatticeSpec(
-            rows=int(lat["rows"]),
-            cols=int(lat["cols"]),
-            layout=str(lat["layout"]),
-            metric=str(lat["metric"]),
-        )
-        schedule = TrainSchedule(
-            epochs=int(sched["epochs"]),
-            alpha0=float(sched["alpha0"]),
-            alpha_end=float(sched["alpha_end"]),
-            sigma0=float(sched["sigma0"]),
-            sigma_end=float(sched["sigma_end"]),
-            decay=str(sched["decay"]),
-            seed=int(sched["seed"]),
-        )
-        mrf_config = MrfConfig(
-            bmu_scope=str(mcfg["bmu_scope"]),
-            distance_normalization=str(mcfg["distance_normalization"]),
-        )
+        cfg = build_run_config(run_config)
+    except ValueError as exc:
+        raise ParseError(f"{path}: run_config: {exc}") from None
+    stored = {"mode": mode, "lattice": lattice, "schedule": schedule, "mrf_config": mrf_config}
+    for name, value in stored.items():
+        if getattr(cfg, name) != value:
+            raise ParseError(f"{path}: run_config disagrees with the {name!r} field")
+    try:
         normalization = NormalizationParams(
             np.array(norm["mean"], dtype=np.float64),
             np.array(norm["std"], dtype=np.float64),
         )
         codebook = Codebook(np.array(weights, dtype=np.float64), lattice)
-        raw_mask = doc.get("mask")
-        mask = None
-        if raw_mask is not None:
-            if not isinstance(raw_mask, dict):
-                raise ParseError(f"{path}: key 'mask' has unexpected type")
-            groups = raw_mask.get("groups")
-            mask = ReceptiveFieldMask(
-                rows=int(raw_mask["rows"]),
-                cols=int(raw_mask["cols"]),
-                mask=np.array(raw_mask["mask"]),
-                groups=tuple(str(g) for g in groups) if groups is not None else None,
-            )
+        mask = _read_mask(doc, path)
+        if mask is not None:
+            _check_mask_fits(mask, lattice, codebook.dims)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     if len(joints) != codebook.dims:
         raise ParseError(f"{path}: {len(joints)} joint names for {codebook.dims} dims")
-    if mask is not None and mask.mask.shape != codebook.weights.shape:
-        raise ParseError(f"{path}: mask shape does not match codebook shape")
-    return Model(
-        mode=mode,
-        codebook=codebook,
-        mask=mask,
-        mrf_config=mrf_config,
-        normalization=normalization,
-        schedule=schedule,
-        joints=tuple(str(j) for j in joints),
-        run_config=run_config,
-    )
+    model = Model(mode, codebook, mask, mrf_config, normalization, schedule, joints, run_config)
+    return model, cfg
+
+
+def load_model(path) -> Model:
+    """Strict reader for the model JSON; malformed content raises ParseError."""
+    return _read_model(path)[0]
+
+
+def _check_mask_fits(mask: ReceptiveFieldMask, lattice: LatticeSpec, dims: int) -> None:
+    grid = f"{lattice.rows}x{lattice.cols}"
+    if mask.mask.shape != (lattice.n_neurons, dims):
+        raise ValueError(f"mask shape {mask.mask.shape} does not fit {grid} lattice, {dims} dims")
+    if (mask.rows, mask.cols) != (lattice.rows, lattice.cols):
+        raise ValueError(f"mask grid {mask.rows}x{mask.cols} does not match lattice {grid}")
 
 
 def _resolve_mask(cfg: RunConfig, dims: int) -> ReceptiveFieldMask:
@@ -380,16 +414,7 @@ def _resolve_mask(cfg: RunConfig, dims: int) -> ReceptiveFieldMask:
         if not os.path.exists(cfg.mask):
             raise ValueError(f"mask file does not exist: {cfg.mask}")
         mask = load_mask(cfg.mask)
-    if mask.mask.shape != (cfg.lattice.n_neurons, dims):
-        raise ValueError(
-            f"mask shape {mask.mask.shape} does not fit lattice "
-            f"{cfg.lattice.rows}x{cfg.lattice.cols} with {dims} input dims"
-        )
-    if (mask.rows, mask.cols) != (cfg.lattice.rows, cfg.lattice.cols):
-        raise ValueError(
-            f"mask grid {mask.rows}x{mask.cols} does not match lattice "
-            f"{cfg.lattice.rows}x{cfg.lattice.cols}"
-        )
+    _check_mask_fits(mask, cfg.lattice, dims)
     return mask
 
 
@@ -412,18 +437,6 @@ def _ensure_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _chain_dict(chain: ChainSpec) -> dict:
-    return {
-        "joint_limits": [[lo, hi] for lo, hi in chain.joint_limits],
-        "shoulder_offset": list(chain.shoulder_offset),
-        "upper_arm": chain.upper_arm,
-        "forearm_hand": chain.forearm_hand,
-        "face_target": list(chain.face_target),
-        "touch_radius": chain.touch_radius,
-        "joint_axes": list(chain.joint_axes),
-    }
-
-
 def cmd_generate(cfg: RunConfig) -> int:
     """Sample self-touch configurations; write dataset.csv and a manifest."""
     result = synthesize_self_touch(cfg.chain, cfg.n, cfg.seed, cfg.max_attempts)
@@ -437,7 +450,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         "attempts": result.attempts,
         "acceptance_rate": result.acceptance_rate,
         "dataset": "dataset.csv",
-        "chain": _chain_dict(cfg.chain),
+        "chain": asdict(cfg.chain),
     }
     atomic_write_text(os.path.join(out, "generate_manifest.json"), dump_json(manifest))
     print(
@@ -499,20 +512,12 @@ def _model_metrics(model: Model, data: np.ndarray) -> tuple[float, float]:
     return qe, te
 
 
-def _report_threshold(model: Model) -> float:
-    raw = model.run_config.get("combination_threshold", "0.25")
-    try:
-        return float(raw)
-    except ValueError:
-        return 0.25
-
-
-def _separation_ratio(model: Model) -> float | None:
+def _separation_ratio(model: Model, threshold: float) -> float | None:
     if model.mask is None or model.mask.groups is None:
         return None
     if any(g not in model.mask.group_order() for g in BODY_GROUPS):
         return None
-    report = build_encoding_report(model.codebook, model.mask, _report_threshold(model))
+    report = build_encoding_report(model.codebook, model.mask, threshold)
     return cluster_separation_ratio(report)
 
 
@@ -520,16 +525,15 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     if not os.path.exists(model_path):
         raise ValueError(f"model file does not exist: {model_path}")
-    model = load_model(model_path)
-    data_cfg = replace(cfg, dataset=dataset_path)
-    raw = _load_dataset(data_cfg)
+    model, trained = _read_model(model_path)
+    raw = _load_dataset(replace(cfg, dataset=dataset_path))
     if raw.shape[1] != model.codebook.dims:
         raise ValueError(
             f"dataset has {raw.shape[1]} columns, model expects {model.codebook.dims}"
         )
     data = apply_normalization(raw, model.normalization)
     qe, te = _model_metrics(model, data)
-    ratio = _separation_ratio(model)
+    ratio = _separation_ratio(model, trained.combination_threshold)
     out = _ensure_out(cfg)
     metrics = {
         "format": "rfsom-metrics",
@@ -549,7 +553,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     if not os.path.exists(model_path):
         raise ValueError(f"model file does not exist: {model_path}")
-    model = load_model(model_path)
+    model, trained = _read_model(model_path)
     mask = model.mask
     if mask is None:
         # unrestricted map: analysis runs over an all-true field, no groups
@@ -560,8 +564,8 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
         )
     heatmaps = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
-    report = build_encoding_report(model.codebook, mask, _report_threshold(model))
-    ratio = _separation_ratio(model)
+    report = build_encoding_report(model.codebook, mask, trained.combination_threshold)
+    ratio = _separation_ratio(model, trained.combination_threshold)
     out = _ensure_out(cfg)
     for j, joint in enumerate(heatmaps.joints):
         grid = heatmaps.grids[j]
@@ -581,91 +585,32 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     return 0
 
 
-_FLAG_TO_KEY = {
-    "mode": "mode",
-    "seed": "seed",
-    "out": "out",
-    "dataset": "dataset",
-    "mask": "mask",
-    "n": "n",
-    "max_attempts": "max_attempts",
-    "combination_threshold": "combination_threshold",
-    "rows": "lattice.rows",
-    "cols": "lattice.cols",
-    "layout": "lattice.layout",
-    "metric": "lattice.metric",
-    "epochs": "schedule.epochs",
-    "alpha0": "schedule.alpha0",
-    "alpha_end": "schedule.alpha_end",
-    "sigma0": "schedule.sigma0",
-    "sigma_end": "schedule.sigma_end",
-    "decay": "schedule.decay",
-    "bmu_scope": "mrf.bmu_scope",
-    "distance_normalization": "mrf.distance_normalization",
-    "upper_arm": "chain.upper_arm",
-    "forearm_hand": "chain.forearm_hand",
-    "shoulder_offset": "chain.shoulder_offset",
-    "face_target": "chain.face_target",
-    "touch_radius": "chain.touch_radius",
-}
-
-
-def _add_common_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
-    defaults = _config_defaults()
-    helps = {
-        "mode": "map variant to train: som (unrestricted) or mrf (masked)",
-        "seed": "run seed; drives sampling, weight init, and shuffling",
-        "out": "output directory (created if missing)",
-        "dataset": "dataset CSV path, or synthesize:<n> to sample in-memory",
-        "mask": f"receptive-field mask file, or '{DEFAULT_MASK}' for the built-in "
-        "4x4 quadrant mask over the 7 joints",
-        "n": "number of samples to generate",
-        "max_attempts": "cap on sampling attempts ('auto' = 20000 per row)",
-        "combination_threshold": "relative |weight| cutoff for combination coding",
-        "rows": "lattice rows",
-        "cols": "lattice cols",
-        "layout": "lattice layout: hex-offset or rectangular",
-        "metric": "lattice distance: manhattan or hex-axial",
-        "epochs": "training epochs",
-        "alpha0": "initial learning rate",
-        "alpha_end": "final learning rate",
-        "sigma0": "initial neighborhood radius",
-        "sigma_end": "final neighborhood radius",
-        "decay": "schedule decay: exponential or linear",
-        "bmu_scope": "winner search: global-masked or per-group",
-        "distance_normalization": "masked distance scaling: rms-per-active-dim or unnormalized",
-        "upper_arm": "upper-arm link length (m)",
-        "forearm_hand": "forearm+hand link length (m)",
-        "shoulder_offset": "shoulder position in torso frame, 'x,y,z' (m)",
-        "face_target": "face target in head frame, 'x,y,z' (m)",
-        "touch_radius": "touch acceptance radius (m)",
-    }
-    for flag in flags:
-        key = _FLAG_TO_KEY[flag]
-        sub.add_argument(
-            "--" + flag.replace("_", "-"),
-            dest=flag,
-            metavar="V",
-            help=f"{helps[flag]} (default: {defaults[key] or 'none'})",
-        )
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     flat: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         if not os.path.exists(args.config):
             raise ValueError(f"config file does not exist: {args.config}")
         flat.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         flat[key.strip()] = value.strip()
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            flat[key] = value
+    for field in FIELDS:
+        value = getattr(args, field.flag, None)
+        if args.command in field.commands and value is not None:
+            flat[field.key] = value
     return build_run_config(flat)
+
+
+# subcommand -> (handler, help, required path options passed to the handler after cfg)
+_COMMANDS = {
+    "generate": (cmd_generate, "sample self-touch configurations to CSV", ()),
+    "train": (cmd_train, "train a map on a dataset", ()),
+    "evaluate": (cmd_evaluate, "score a trained model on a dataset", ("model", "dataset_path")),
+    "export": (cmd_export, "write heatmaps, distance map, and report", ("model",)),
+}
+_PATH_HELP = {"model": "trained model.json", "dataset_path": "dataset CSV"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -678,71 +623,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    common = ("seed", "out")
-    config_help = "flat key=value config file (flags override file values)"
-    set_help = "override any config key, e.g. --set chain.limit.wrist=-1.0,1.0 (repeatable)"
-
-    p_gen = sub.add_parser("generate", help="sample self-touch configurations to CSV")
-    p_gen.add_argument("--config", help=config_help)
-    p_gen.add_argument("--set", action="append", metavar="K=V", help=set_help)
-    _add_common_flags(
-        p_gen,
-        common
-        + (
-            "n",
-            "max_attempts",
-            "upper_arm",
-            "forearm_hand",
-            "shoulder_offset",
-            "face_target",
-            "touch_radius",
-        ),
-    )
-    p_gen.set_defaults(func=lambda cfg, args: cmd_generate(cfg))
-
-    p_train = sub.add_parser("train", help="train a map on a dataset")
-    p_train.add_argument("--config", help=config_help)
-    p_train.add_argument("--set", action="append", metavar="K=V", help=set_help)
-    _add_common_flags(
-        p_train,
-        common
-        + (
-            "dataset",
-            "mode",
-            "mask",
-            "rows",
-            "cols",
-            "layout",
-            "metric",
-            "epochs",
-            "alpha0",
-            "alpha_end",
-            "sigma0",
-            "sigma_end",
-            "decay",
-            "bmu_scope",
-            "distance_normalization",
-            "combination_threshold",
-        ),
-    )
-    p_train.set_defaults(func=lambda cfg, args: cmd_train(cfg))
-
-    p_eval = sub.add_parser("evaluate", help="score a trained model on a dataset")
-    p_eval.add_argument("--config", help=config_help)
-    p_eval.add_argument("--set", action="append", metavar="K=V", help=set_help)
-    p_eval.add_argument("--model", required=True, help="trained model.json")
-    p_eval.add_argument("--dataset-path", dest="eval_dataset", required=True, help="dataset CSV")
-    _add_common_flags(p_eval, common)
-    p_eval.set_defaults(func=lambda cfg, args: cmd_evaluate(cfg, args.model, args.eval_dataset))
-
-    p_export = sub.add_parser("export", help="write heatmaps, distance map, and report")
-    p_export.add_argument("--config", help=config_help)
-    p_export.add_argument("--set", action="append", metavar="K=V", help=set_help)
-    p_export.add_argument("--model", required=True, help="trained model.json")
-    _add_common_flags(p_export, common)
-    p_export.set_defaults(func=lambda cfg, args: cmd_export(cfg, args.model))
-
+    for name, (func, help_text, paths) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key=value config file (flags override file values)")
+        p.add_argument(
+            "--set",
+            action="append",
+            metavar="K=V",
+            help="override any config key, e.g. --set chain.limit.wrist=-1.0,1.0 (repeatable)",
+        )
+        for option in paths:
+            p.add_argument("--" + option.replace("_", "-"), required=True, help=_PATH_HELP[option])
+        for field in FIELDS:
+            if name in field.commands:
+                p.add_argument(
+                    "--" + field.flag.replace("_", "-"),
+                    metavar="V",
+                    help=f"{field.help} (default: {_DEFAULTS[field.key] or 'none'})",
+                )
+        p.set_defaults(func=func, paths=paths)
     return parser
 
 
@@ -755,16 +654,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        return args.func(cfg, args)
-    except SamplingError as exc:
+        return args.func(cfg, *(getattr(args, option) for option in args.paths))
+    except (SamplingError, ValueError, OSError) as exc:
+        # ParseError is a ValueError: malformed files share the config-error code
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return 3 if isinstance(exc, SamplingError) else 4 if isinstance(exc, ValueError) else 5
 
 
 def run() -> None:

@@ -144,6 +144,9 @@ def _as_dataset(dataset, dims: int) -> np.ndarray:
         raise ValueError(f"dataset has shape {X.shape}, expected (n, {dims})")
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"dataset value at row {row}, column {col} is not finite: {X[row, col]}")
     return X
 
 

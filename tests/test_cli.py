@@ -1,7 +1,9 @@
 """Config resolution, subcommand behavior, exit codes, artifact layout."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,8 @@ import pytest
 from rfsom.cli import (
     Model,
     RunConfig,
+    _merge_config,
+    build_parser,
     build_run_config,
     load_model,
     main,
@@ -135,6 +139,89 @@ def test_set_overrides(tmp_path):
     assert load_csv(out / "dataset.csv").shape == (5, 7)
     assert run_cli("generate", "--set", "bogus", "--out", str(out)) == 4
     assert run_cli("generate", "--set", "no_such_key=1", "--out", str(out)) == 4
+
+
+# ------------------------------------------------------------- flag surface
+
+# each subcommand's flags and the default its help shows (None: no default)
+FLAG_SURFACE = {
+    "generate": {
+        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": "none",
+        "--n": "3216", "--max-attempts": "auto", "--upper-arm": "0.105",
+        "--forearm-hand": "0.114",
+        "--shoulder-offset": "0,-0.098000000000000004,0.10000000000000001",
+        "--face-target": "0.050000000000000003,0,0.050000000000000003",
+        "--touch-radius": "0.029999999999999999",
+    },
+    "train": {
+        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": "none",
+        "--dataset": "none", "--mode": "mrf", "--mask": "default", "--rows": "4",
+        "--cols": "4", "--layout": "hex-offset", "--metric": "manhattan", "--epochs": "100",
+        "--alpha0": "0.5", "--alpha-end": "0.01", "--sigma0": "2", "--sigma-end": "0.5",
+        "--decay": "exponential", "--bmu-scope": "global-masked",
+        "--distance-normalization": "rms-per-active-dim", "--combination-threshold": "0.25",
+    },
+    "evaluate": {
+        "--help": None, "--config": None, "--set": None, "--model": None,
+        "--dataset-path": None, "--seed": "0", "--out": "none",
+    },
+    "export": {
+        "--help": None, "--config": None, "--set": None, "--model": None, "--seed": "0",
+        "--out": "none",
+    },
+}
+
+# flagged config key -> a valid non-default value
+FLAG_VALUES = {
+    "seed": "7", "out": "o", "n": "10", "max_attempts": "99", "chain.upper_arm": "0.2",
+    "chain.forearm_hand": "0.3", "chain.shoulder_offset": "0,0,0.1",
+    "chain.face_target": "0.1,0,0", "chain.touch_radius": "0.4", "dataset": "d.csv",
+    "mode": "som", "mask": "m.mask", "lattice.rows": "3", "lattice.cols": "5",
+    "lattice.layout": "rectangular", "lattice.metric": "hex-axial", "schedule.epochs": "7",
+    "schedule.alpha0": "0.4", "schedule.alpha_end": "0.02", "schedule.sigma0": "1.5",
+    "schedule.sigma_end": "0.25", "schedule.decay": "linear", "mrf.bmu_scope": "per-group",
+    "mrf.distance_normalization": "unnormalized", "combination_threshold": "0.3",
+}
+
+REQUIRED = {
+    "evaluate": ["--model", "m.json", "--dataset-path", "d.csv"],
+    "export": ["--model", "m.json"],
+}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_flag_surface_pinned():
+    got = {}
+    for name, sub in _subparsers(build_parser()).items():
+        got[name] = {}
+        for action in sub._actions:
+            shown = re.search(r"\(default: (.*)\)$", action.help or "")
+            for option in action.option_strings:
+                if option.startswith("--"):
+                    got[name][option] = shown.group(1) if shown else None
+    assert got == FLAG_SURFACE
+
+
+def test_flag_equals_set_override():
+    parser = build_parser()
+    flag_of = {"--" + key.rpartition(".")[2].replace("_", "-"): key for key in FLAG_VALUES}
+    checked = set()
+    for command, flags in FLAG_SURFACE.items():
+        base = [command, *REQUIRED.get(command, [])]
+        for flag in flags:
+            key = flag_of.get(flag)
+            if key is None:
+                continue
+            value = FLAG_VALUES[key]
+            via_flag = _merge_config(parser.parse_args([*base, flag, value]))
+            via_set = _merge_config(parser.parse_args([*base, "--set", f"{key}={value}"]))
+            assert via_flag == via_set != build_run_config({}), (command, flag)
+            checked.add(key)
+    assert checked == set(FLAG_VALUES)
 
 
 # ------------------------------------------------------------- generate
@@ -374,6 +461,44 @@ def test_load_model_diagnostics(tmp_path):
     path.write_text('{"format": "rfsom-model", "version": 1, "mode": "mrf"}')
     with pytest.raises(ParseError, match="missing key"):
         load_model(path)
+
+
+def _set(block, key, value):
+    return lambda doc: doc[block].__setitem__(key, value)
+
+
+# edit of a valid model document -> expected ParseError message
+BAD_MODELS = {
+    "float-in-int-field": (_set("lattice", "rows", 4.9), "'rows' has unexpected type float"),
+    "bool-in-int-field": (_set("schedule", "epochs", True), "'epochs' has unexpected type bool"),
+    "float-seed": (_set("schedule", "seed", 1.5), "'seed' has unexpected type float"),
+    "int-in-str-field": (_set("mrf_config", "bmu_scope", 1), "'bmu_scope' has unexpected type int"),
+    "unknown-block-key": (_set("lattice", "shape", "hex"), "unknown key 'shape'"),
+    "mask-grid": (
+        lambda doc: doc["mask"].update(rows=2, cols=8), "grid 2x8 does not match lattice 4x4"
+    ),
+    "run-config-unknown-key": (_set("run_config", "lattice.shape", "hex"), "unknown config key"),
+    "run-config-malformed": (
+        _set("run_config", "combination_threshold", "x"), "invalid configuration"
+    ),
+    "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
+    "run-config-disagrees": (
+        _set("run_config", "lattice.metric", "hex-axial"), "disagrees with the 'lattice'"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+def test_malformed_model_rejected_before_any_write(workspace, tmp_path, edit, message):
+    doc = json.loads((workspace / "run" / "model.json").read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_model(path)
+    out = tmp_path / "out"
+    assert run_cli("export", "--model", str(path), "--out", str(out)) == 4
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- entry points

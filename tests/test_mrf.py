@@ -23,7 +23,14 @@ from rfsom.mrf import (
     mrf_train,
     save_mask,
 )
-from rfsom.som import Codebook, TrainSchedule, init_codebook, train
+from rfsom.som import (
+    Codebook,
+    TrainSchedule,
+    init_codebook,
+    quantization_error,
+    topographic_error,
+    train,
+)
 
 from oracles import masked_bmu_scan, masked_distance_scan
 
@@ -359,3 +366,32 @@ def test_load_mask_invariant_violation_is_config_error(tmp_path):
     path.write_text("1 2 2\n0 0\n1 1\n")
     with pytest.raises(ValueError, match="no active input dimension"):
         load_mask(path)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb, X, m: train(cb, X, TrainSchedule()),
+        lambda cb, X, m: mrf_train(cb, X, m, TrainSchedule()),
+        lambda cb, X, m: quantization_error(cb, X),
+        lambda cb, X, m: topographic_error(cb, X),
+        lambda cb, X, m: masked_quantization_error(cb, X, m),
+        lambda cb, X, m: masked_topographic_error(cb, X, m),
+    ],
+    ids=["train", "mrf_train", "qe", "te", "masked_qe", "masked_te"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dataset_rejected_before_any_epoch(monkeypatch, call, bad):
+    import rfsom.mrf
+    import rfsom.som
+
+    def no_epochs(*args):
+        raise AssertionError("an epoch started")
+
+    monkeypatch.setattr(rfsom.som, "shuffle_order", no_epochs)
+    monkeypatch.setattr(rfsom.mrf, "shuffle_order", no_epochs)
+    X = np.zeros((5, 7))
+    X[3, 2] = bad
+    cb = init_codebook(LatticeSpec(), 7, 0)
+    with pytest.raises(ValueError, match="row 3, column 2 is not finite"):
+        call(cb, X, default_quadrant_mask())
