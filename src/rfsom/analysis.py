@@ -16,7 +16,7 @@ import numpy as np
 from .datagen import JOINT_NAMES
 from .fileio import ParseError, format_float
 from .lattice import LatticeSpec, distance_matrix
-from .mrf import BODY_GROUPS, ReceptiveFieldMask, home_group
+from .mrf import BODY_GROUPS, ReceptiveFieldMask, _check_mask, home_group
 from .som import Codebook
 
 
@@ -72,18 +72,10 @@ def _joint_names(dims: int) -> tuple[str, ...]:
     return tuple(f"dim_{j}" for j in range(dims))
 
 
-def _check_pair(codebook: Codebook, mask: ReceptiveFieldMask) -> None:
-    if mask.mask.shape != codebook.weights.shape:
-        raise ValueError(
-            f"mask shape {mask.mask.shape} does not match codebook shape "
-            f"{codebook.weights.shape}"
-        )
-
-
 def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> HeatmapSet:
     """Weight grids per joint; masked-off positions become not-connected
     markers, never zeros."""
-    _check_pair(codebook, mask)
+    _check_mask(mask, codebook)
     rows, cols = codebook.lattice.rows, codebook.lattice.cols
     grids = codebook.weights.T.reshape(codebook.dims, rows, cols).copy()
     connected = mask.mask.T.reshape(codebook.dims, rows, cols).copy()
@@ -104,7 +96,7 @@ def build_distance_map(
 ) -> NeuronDistanceMap:
     """Mean union-masked RMS distance from each neuron to its lattice
     neighbors (lattice distance exactly 1 under the configured metric)."""
-    _check_pair(codebook, mask)
+    _check_mask(mask, codebook)
     if lattice is None:
         lattice = codebook.lattice
     if lattice.n_neurons != codebook.n_neurons:
@@ -131,7 +123,7 @@ def build_encoding_report(
     ``combination_threshold`` times the neuron's largest |weight|; any
     negative active weight makes the neuron an inhibitory combination.
     """
-    _check_pair(codebook, mask)
+    _check_mask(mask, codebook)
     if not 0.0 < combination_threshold <= 1.0:
         raise ValueError(
             f"combination_threshold must be in (0, 1], got {combination_threshold}"

@@ -47,6 +47,7 @@ from .mrf import (
     MrfConfig,
     ReceptiveFieldMask,
     default_quadrant_mask,
+    full_mask,
     load_mask,
     masked_quantization_error,
     masked_topographic_error,
@@ -390,6 +391,9 @@ def _read_model(path) -> tuple[Model, RunConfig]:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     if len(joints) != codebook.dims:
         raise ParseError(f"{path}: {len(joints)} joint names for {codebook.dims} dims")
+    if (mode == "mrf") != (mask is not None):
+        wanted = "a mask" if mode == "mrf" else '"mask": null'
+        raise ParseError(f"{path}: mode {mode!r} needs {wanted}")
     model = Model(mode, codebook, mask, mrf_config, normalization, schedule, joints, run_config)
     return model, cfg
 
@@ -462,6 +466,9 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     """Normalize the dataset, train the configured map, write model + log."""
+    if cfg.lattice.n_neurons < 2:
+        grid = f"{cfg.lattice.rows}x{cfg.lattice.cols}"
+        raise ValueError(f"training needs at least 2 neurons, got a {grid} lattice")
     raw = _load_dataset(cfg)
     if raw.shape[0] < 2:
         raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
@@ -503,7 +510,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _model_metrics(model: Model, data: np.ndarray) -> tuple[float, float]:
     codebook = model.codebook
-    if model.mode == "mrf" and model.mask is not None:
+    if model.mode == "mrf":
         qe = masked_quantization_error(codebook, data, model.mask, model.mrf_config)
         te = masked_topographic_error(codebook, data, model.mask, model.mrf_config)
     else:
@@ -557,11 +564,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     mask = model.mask
     if mask is None:
         # unrestricted map: analysis runs over an all-true field, no groups
-        mask = ReceptiveFieldMask(
-            model.codebook.lattice.rows,
-            model.codebook.lattice.cols,
-            np.ones_like(model.codebook.weights, dtype=bool),
-        )
+        mask = full_mask(model.codebook.lattice, model.codebook.dims)
     heatmaps = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
     report = build_encoding_report(model.codebook, mask, trained.combination_threshold)

@@ -3,8 +3,9 @@ mask-confined updates.
 
 Each output neuron owns a boolean receptive field over the input dimensions.
 Winner search only compares active dimensions, and weight updates never touch
-inactive positions. With an all-true mask, unnormalized distances, and global
-winner scope the behavior reduces bit-exactly to the baseline in ``rfsom.som``.
+inactive positions. This module holds the one training loop and the one set of
+quality metrics: the baseline in ``rfsom.som`` is this map with an all-true
+mask, unnormalized distances, and global winner scope.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .som import (
     TrainSchedule,
     _as_dataset,
     _as_sample,
-    _epoch_metrics,
     shuffle_order,
 )
 
@@ -186,6 +186,13 @@ def default_quadrant_mask() -> ReceptiveFieldMask:
     return ReceptiveFieldMask(rows, cols, mask, tuple(labels))
 
 
+def full_mask(lattice: LatticeSpec, dims: int) -> ReceptiveFieldMask:
+    """All-true receptive fields: every neuron sees every input dimension."""
+    return ReceptiveFieldMask(
+        lattice.rows, lattice.cols, np.ones((lattice.n_neurons, dims), dtype=bool)
+    )
+
+
 def _check_mask(mask: ReceptiveFieldMask, codebook: Codebook) -> None:
     if mask.mask.shape != codebook.weights.shape:
         raise ValueError(
@@ -200,6 +207,29 @@ def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     return None
 
 
+def _distances(W: np.ndarray, X: np.ndarray, M: np.ndarray, norms) -> np.ndarray:
+    """Masked distances from a sample (shape (dims,)) or samples (shape
+    (n, dims)) to every neuron; the last output axis runs over neurons."""
+    d = np.sqrt((((X[..., None, :] - W) ** 2) * M).sum(axis=-1))
+    if norms is not None:
+        d = d / norms
+    return d
+
+
+def _topographic_error(d: np.ndarray, D: np.ndarray) -> float:
+    """Fraction of rows of a sample-distance matrix whose two nearest neurons
+    are not lattice-adjacent (ties break to the smaller index)."""
+    order = np.argsort(d, axis=1, kind="stable")
+    return float((D[order[:, 0], order[:, 1]] != 1).mean())
+
+
+def _epoch_metrics(d: np.ndarray, D: np.ndarray) -> tuple[float, float]:
+    """(quantization error, topographic error) from a sample-distance matrix;
+    a single-neuron map logs topographic error 0."""
+    qe = float(d.min(axis=1).mean())
+    return qe, _topographic_error(d, D) if d.shape[1] > 1 else 0.0
+
+
 def masked_distance(
     sample, neuron: int, codebook: Codebook, mask: ReceptiveFieldMask, cfg: MrfConfig = MrfConfig()
 ) -> float:
@@ -209,15 +239,7 @@ def masked_distance(
     x = _as_sample(sample, codebook.dims)
     if not 0 <= neuron < codebook.n_neurons:
         raise ValueError(f"neuron index {neuron} out of range")
-    d = _bmu_distances(codebook.weights, x, mask.mask.astype(np.float64), _norms(mask, cfg))
-    return float(d[neuron])
-
-
-def _bmu_distances(W: np.ndarray, x: np.ndarray, Mf: np.ndarray, norms) -> np.ndarray:
-    d = np.sqrt((((W - x) ** 2) * Mf).sum(axis=1))
-    if norms is not None:
-        d = d / norms
-    return d
+    return float(_distances(codebook.weights, x, mask.mask, _norms(mask, cfg))[neuron])
 
 
 def mrf_find_bmu(
@@ -231,7 +253,7 @@ def mrf_find_bmu(
     """
     _check_mask(mask, codebook)
     x = _as_sample(sample, codebook.dims)
-    d = _bmu_distances(codebook.weights, x, mask.mask.astype(np.float64), _norms(mask, cfg))
+    d = _distances(codebook.weights, x, mask.mask, _norms(mask, cfg))
     if cfg.bmu_scope == "global-masked":
         return int(np.argmin(d))
     if mask.groups is None:
@@ -246,12 +268,14 @@ def mrf_train(
     schedule: TrainSchedule,
     cfg: MrfConfig = MrfConfig(),
 ) -> tuple[Codebook, TrainLog]:
-    """Masked map training.
+    """Stochastic training over ``epochs`` x shuffled samples.
 
-    Same loop as the baseline, except winners come from the masked search,
-    each neuron's update is confined to its active dimensions (inactive
-    weights stay bit-identical to initialization), and under per-group scope
-    each group's winner drives only that group's neurons.
+    Winners come from the masked search, each neuron's update is confined to
+    its active dimensions (inactive weights stay bit-identical to
+    initialization), and under per-group scope each group's winner drives
+    only that group's neurons. Deterministic for a fixed schedule seed; the
+    input codebook is not modified. The log gains one (quantization error,
+    topographic error) pair per completed epoch.
     """
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
@@ -262,7 +286,10 @@ def mrf_train(
     norms = _norms(mask, cfg)
     per_group = cfg.bmu_scope == "per-group"
     if per_group:
-        groups = mask.group_indices()
+        groups = mask.group_indices().values()
+        h = np.empty(codebook.n_neurons, dtype=np.float64)
+    step = np.empty_like(W)
+    sq = np.empty_like(W)
     n = X.shape[0]
     total = schedule.epochs * n
     alphas = schedule.alpha_values(total)
@@ -271,60 +298,55 @@ def mrf_train(
     t = 0
     for epoch in range(schedule.epochs):
         for i in shuffle_order(schedule.seed, epoch, n):
-            x = X[i]
-            d = _bmu_distances(W, x, Mf, norms)
+            np.subtract(X[i], W, out=step)
+            np.square(step, out=sq)
+            sq *= Mf
+            d = np.sqrt(np.add.reduce(sq, axis=1))
+            if norms is not None:
+                d /= norms
             if per_group:
-                h = np.empty(codebook.n_neurons, dtype=np.float64)
-                for idx in groups.values():
-                    b = int(idx[np.argmin(d[idx])])
+                for idx in groups:
+                    b = idx[d[idx].argmin()]
                     h[idx] = neighborhood_weight(D[b][idx], sigmas[t])
             else:
-                b = int(np.argmin(d))
-                h = neighborhood_weight(D[b], sigmas[t])
-            delta = (alphas[t] * h)[:, None] * (x - W)
-            # np.where keeps inactive positions bit-identical (W += 0.0 would
-            # flip the sign of -0.0 entries)
-            W = np.where(Mb, W + delta, W)
+                h = neighborhood_weight(D[d.argmin()], sigmas[t])
+            step *= (alphas[t] * h)[:, None]
+            # a masked add leaves inactive positions untouched, bytes and all
+            # (W += 0.0 would flip the sign of -0.0 entries)
+            np.add(W, step, out=W, where=Mb)
             t += 1
-        qe, te = _epoch_metrics(_masked_sample_distances(W, X, Mf, norms), D)
+        qe, te = _epoch_metrics(_distances(W, X, Mf, norms), D)
         log.quantization_errors.append(qe)
         log.topographic_errors.append(te)
     return Codebook(W, codebook.lattice), log
 
 
-def _masked_sample_distances(W, X, Mf, norms) -> np.ndarray:
-    d = np.sqrt((((X[:, None, :] - W[None, :, :]) ** 2) * Mf[None, :, :]).sum(axis=2))
-    if norms is not None:
-        d = d / norms[None, :]
-    return d
+def _dataset_distances(
+    codebook: Codebook, dataset, mask: ReceptiveFieldMask, cfg: MrfConfig
+) -> np.ndarray:
+    _check_mask(mask, codebook)
+    X = _as_dataset(dataset, codebook.dims)
+    return _distances(codebook.weights, X, mask.mask, _norms(mask, cfg))
 
 
 def masked_quantization_error(
     codebook: Codebook, dataset, mask: ReceptiveFieldMask, cfg: MrfConfig = MrfConfig()
 ) -> float:
     """Mean masked distance from each sample to its best-matching unit."""
-    _check_mask(mask, codebook)
-    X = _as_dataset(dataset, codebook.dims)
-    d = _masked_sample_distances(
-        codebook.weights, X, mask.mask.astype(np.float64), _norms(mask, cfg)
-    )
-    return float(d.min(axis=1).mean())
+    return float(_dataset_distances(codebook, dataset, mask, cfg).min(axis=1).mean())
 
 
 def masked_topographic_error(
     codebook: Codebook, dataset, mask: ReceptiveFieldMask, cfg: MrfConfig = MrfConfig()
 ) -> float:
-    """Fraction of samples whose two best masked matches are not lattice-adjacent."""
+    """Fraction of samples whose two best masked matches are not lattice-adjacent.
+
+    Adjacency means lattice distance exactly 1 under the configured metric.
+    """
     if codebook.n_neurons < 2:
         raise ValueError("topographic error needs at least 2 neurons")
-    _check_mask(mask, codebook)
-    X = _as_dataset(dataset, codebook.dims)
-    d = _masked_sample_distances(
-        codebook.weights, X, mask.mask.astype(np.float64), _norms(mask, cfg)
-    )
-    order = np.argsort(d, axis=1, kind="stable")
-    D = distance_matrix(codebook.lattice)
-    return float((D[order[:, 0], order[:, 1]] != 1).mean())
+    d = _dataset_distances(codebook, dataset, mask, cfg)
+    return _topographic_error(d, distance_matrix(codebook.lattice))
 
 
 def save_mask(mask: ReceptiveFieldMask, path) -> None:

@@ -1,8 +1,9 @@
-"""Baseline Kohonen map: codebook state, winner search, training loop, quality metrics.
+"""Baseline Kohonen map: codebook state, schedules, winner search, training, quality metrics.
 
-This is the unrestricted (all-to-all) map; the receptive-field variant in
-``rfsom.mrf`` specializes it. Training is stochastic (per-sample updates)
-and fully deterministic for a fixed schedule seed.
+This is the unrestricted (all-to-all) map. Winner search, training and the
+metrics are the receptive-field map of ``rfsom.mrf`` with every field full,
+unnormalized distances and global winner scope. Training is stochastic
+(per-sample updates) and fully deterministic for a fixed schedule seed.
 """
 
 from __future__ import annotations
@@ -150,12 +151,22 @@ def _as_dataset(dataset, dims: int) -> np.ndarray:
     return X
 
 
+def _as_masked(codebook: Codebook):
+    """The all-true mask and plain Euclidean configuration under which the
+    masked map in ``rfsom.mrf`` is this map (imported here: ``rfsom.mrf``
+    imports the codebook types from this module)."""
+    from .mrf import MrfConfig, full_mask
+
+    mask = full_mask(codebook.lattice, codebook.dims)
+    return mask, MrfConfig("global-masked", "unnormalized")
+
+
 def find_bmu(sample, codebook: Codebook) -> int:
     """Index of the neuron closest to ``sample`` (Euclidean; ties break to the
     smallest row-major index)."""
-    x = _as_sample(sample, codebook.dims)
-    d = np.sqrt(((codebook.weights - x) ** 2).sum(axis=1))
-    return int(np.argmin(d))
+    from .mrf import mrf_find_bmu
+
+    return mrf_find_bmu(sample, codebook, *_as_masked(codebook))
 
 
 def update_step(codebook: Codebook, sample, bmu: int, alpha: float, sigma: float) -> Codebook:
@@ -180,54 +191,18 @@ def shuffle_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def train(codebook: Codebook, dataset, schedule: TrainSchedule) -> tuple[Codebook, TrainLog]:
-    """Stochastic training over ``epochs`` x shuffled samples.
+    """Stochastic training of the unrestricted map; see ``rfsom.mrf.mrf_train``."""
+    from .mrf import mrf_train
 
-    Deterministic for a fixed schedule seed; the input codebook is not
-    modified. The log gains one (quantization error, topographic error)
-    pair per completed epoch.
-    """
-    X = _as_dataset(dataset, codebook.dims)
-    W = codebook.weights.copy()
-    D = distance_matrix(codebook.lattice)
-    n = X.shape[0]
-    total = schedule.epochs * n
-    alphas = schedule.alpha_values(total)
-    sigmas = schedule.sigma_values(total)
-    log = TrainLog()
-    t = 0
-    for epoch in range(schedule.epochs):
-        for i in shuffle_order(schedule.seed, epoch, n):
-            x = X[i]
-            d = np.sqrt(((W - x) ** 2).sum(axis=1))
-            b = int(np.argmin(d))
-            h = neighborhood_weight(D[b], sigmas[t])
-            W += (alphas[t] * h)[:, None] * (x - W)
-            t += 1
-        qe, te = _epoch_metrics(_sample_distances(W, X), D)
-        log.quantization_errors.append(qe)
-        log.topographic_errors.append(te)
-    return Codebook(W, codebook.lattice), log
-
-
-def _sample_distances(W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(n_samples, n_neurons) Euclidean distances."""
-    return np.sqrt(((X[:, None, :] - W[None, :, :]) ** 2).sum(axis=2))
-
-
-def _epoch_metrics(d: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """(quantization error, topographic error) from a sample-distance matrix."""
-    qe = float(d.min(axis=1).mean())
-    if d.shape[1] < 2:
-        return qe, 0.0
-    order = np.argsort(d, axis=1, kind="stable")
-    te = float((D[order[:, 0], order[:, 1]] != 1).mean())
-    return qe, te
+    mask, cfg = _as_masked(codebook)
+    return mrf_train(codebook, dataset, mask, schedule, cfg)
 
 
 def quantization_error(codebook: Codebook, dataset) -> float:
     """Mean Euclidean distance from each sample to its best-matching unit."""
-    X = _as_dataset(dataset, codebook.dims)
-    return float(_sample_distances(codebook.weights, X).min(axis=1).mean())
+    from .mrf import masked_quantization_error
+
+    return masked_quantization_error(codebook, dataset, *_as_masked(codebook))
 
 
 def topographic_error(codebook: Codebook, dataset) -> float:
@@ -235,10 +210,6 @@ def topographic_error(codebook: Codebook, dataset) -> float:
 
     Adjacency means lattice distance exactly 1 under the configured metric.
     """
-    if codebook.n_neurons < 2:
-        raise ValueError("topographic error needs at least 2 neurons")
-    X = _as_dataset(dataset, codebook.dims)
-    d = _sample_distances(codebook.weights, X)
-    order = np.argsort(d, axis=1, kind="stable")
-    D = distance_matrix(codebook.lattice)
-    return float((D[order[:, 0], order[:, 1]] != 1).mean())
+    from .mrf import masked_topographic_error
+
+    return masked_topographic_error(codebook, dataset, *_as_masked(codebook))

@@ -335,6 +335,17 @@ def test_train_config_errors_exit4_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_train_single_neuron_lattice_exit4_before_loading(workspace, tmp_path, capsys):
+    out = tmp_path / "tiny"
+    lattice = ("--mode", "som", "--rows", "1", "--cols", "1")
+    assert run_cli(*train_args(out, workspace / "gen" / "dataset.csv", extra=lattice)) == 4
+    assert not out.exists()
+    # the lattice is rejected before the (here missing) dataset is opened
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=lattice)) == 4
+    assert "at least 2 neurons, got a 1x1 lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- evaluate
 
 def test_evaluate_metrics_deterministic(workspace, tmp_path):
@@ -484,6 +495,11 @@ BAD_MODELS = {
     "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
     "run-config-disagrees": (
         _set("run_config", "lattice.metric", "hex-axial"), "disagrees with the 'lattice'"
+    ),
+    "mrf-without-mask": (lambda doc: doc.update(mask=None), "mode 'mrf' needs a mask"),
+    "som-with-mask": (
+        lambda doc: [d.update(mode="som") for d in (doc, doc["run_config"])],
+        "mode 'som' needs \"mask\": null",
     ),
 }
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rfsom.fileio import ParseError
 from rfsom.lattice import LatticeSpec
 from rfsom.mrf import (
+    BMU_SCOPES,
     BODY_GROUPS,
     GROUP_JOINTS,
     MrfConfig,
@@ -254,14 +255,22 @@ def test_mrf_train_reduces_to_baseline_bit_exactly():
     assert base_log.topographic_errors == masked_log.topographic_errors
 
 
-def test_mrf_train_confines_updates_to_active_dims():
+@pytest.mark.parametrize("scope", BMU_SCOPES)
+def test_mrf_train_confines_updates_to_active_dims(scope):
     rng = np.random.default_rng(9)
-    cb, mask = random_masked_instance(rng)
+    if scope == "per-group":
+        mask = default_quadrant_mask()
+        cb = init_codebook(LatticeSpec(), mask.dims, 9)
+    else:
+        cb, mask = random_masked_instance(rng)
     X = rng.normal(size=(40, cb.dims))
-    out, _ = mrf_train(cb, X, mask, TrainSchedule(epochs=5, seed=1))
     inactive = ~mask.mask
-    assert out.weights[inactive].tobytes() == cb.weights[inactive].tobytes()
-    assert not np.array_equal(out.weights[mask.mask], cb.weights[mask.mask])
+    # -0.0 at every inactive position: adding 0.0 there would flip its sign bit
+    signed_zero = Codebook(np.where(inactive, -0.0, cb.weights), cb.lattice)
+    for start in (cb, signed_zero):
+        out, _ = mrf_train(start, X, mask, TrainSchedule(epochs=5, seed=1), MrfConfig(scope))
+        assert out.weights[inactive].tobytes() == start.weights[inactive].tobytes()
+        assert not np.array_equal(out.weights[mask.mask], start.weights[mask.mask])
 
 
 def test_mrf_train_per_group_confines_and_learns():
