@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import JOINT_NAMES
-from .fileio import ParseError, format_float
-from .lattice import LatticeSpec, distance_matrix
+from .datagen import joint_names
+from .fileio import format_float
+from .lattice import distance_matrix
 from .mrf import BODY_GROUPS, ReceptiveFieldMask, _check_mask, home_group
 from .som import Codebook
 
@@ -66,12 +66,6 @@ class EncodingReport:
     group_distances: np.ndarray
 
 
-def _joint_names(dims: int) -> tuple[str, ...]:
-    if dims == len(JOINT_NAMES):
-        return JOINT_NAMES
-    return tuple(f"dim_{j}" for j in range(dims))
-
-
 def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> HeatmapSet:
     """Weight grids per joint; masked-off positions become not-connected
     markers, never zeros."""
@@ -80,7 +74,7 @@ def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> HeatmapSet:
     grids = codebook.weights.T.reshape(codebook.dims, rows, cols).copy()
     connected = mask.mask.T.reshape(codebook.dims, rows, cols).copy()
     grids[~connected] = np.nan
-    return HeatmapSet(_joint_names(codebook.dims), grids, connected)
+    return HeatmapSet(joint_names(codebook.dims), grids, connected)
 
 
 def _union_distance(W: np.ndarray, M: np.ndarray, i: int, j: int) -> float:
@@ -91,18 +85,11 @@ def _union_distance(W: np.ndarray, M: np.ndarray, i: int, j: int) -> float:
     return float(np.sqrt((diff**2).sum()) / np.sqrt(union.sum()))
 
 
-def build_distance_map(
-    codebook: Codebook, mask: ReceptiveFieldMask, lattice: LatticeSpec | None = None
-) -> NeuronDistanceMap:
+def build_distance_map(codebook: Codebook, mask: ReceptiveFieldMask) -> NeuronDistanceMap:
     """Mean union-masked RMS distance from each neuron to its lattice
     neighbors (lattice distance exactly 1 under the configured metric)."""
     _check_mask(mask, codebook)
-    if lattice is None:
-        lattice = codebook.lattice
-    if lattice.n_neurons != codebook.n_neurons:
-        raise ValueError(
-            f"lattice has {lattice.n_neurons} neurons, codebook has {codebook.n_neurons}"
-        )
+    lattice = codebook.lattice
     D = distance_matrix(lattice)
     W = codebook.weights
     M = mask.mask
@@ -128,7 +115,7 @@ def build_encoding_report(
         raise ValueError(
             f"combination_threshold must be in (0, 1], got {combination_threshold}"
         )
-    names = _joint_names(codebook.dims)
+    names = joint_names(codebook.dims)
     labels = mask.groups if mask.groups is not None else ("ungrouped",) * mask.n_neurons
     neurons = []
     for i in range(mask.n_neurons):
@@ -207,41 +194,6 @@ def heatmap_csv_text(grid: np.ndarray, connected: np.ndarray) -> str:
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def parse_heatmap_csv(text: str, source: str = "<string>") -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``heatmap_csv_text``: (grid with NaN at NC, connected)."""
-    rows = text.split("\n")
-    while rows and rows[-1] == "":
-        rows.pop()
-    if not rows:
-        raise ParseError(f"{source}: empty heatmap")
-    parsed = []
-    flags = []
-    width = None
-    for r, line in enumerate(rows):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ParseError(f"{source}: line {r + 1}: expected {width} columns")
-        vals = []
-        conn = []
-        for c, cell in enumerate(cells):
-            if cell == "NC":
-                vals.append(np.nan)
-                conn.append(False)
-            else:
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{source}: line {r + 1}, column {c + 1}: not a number: {cell!r}"
-                    ) from None
-                conn.append(True)
-        parsed.append(vals)
-        flags.append(conn)
-    return np.array(parsed, dtype=np.float64), np.array(flags, dtype=bool)
 
 
 def heatmap_pgm_bytes(grid: np.ndarray, connected: np.ndarray) -> tuple[bytes, bytes]:

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .datagen import (
     SamplingError,
     apply_normalization,
     fit_normalization,
+    joint_names,
     load_csv,
     save_csv,
     synthesize_self_touch,
@@ -180,7 +181,6 @@ FIELDS = (
           "relative |weight| cutoff for combination coding"),
     Field("lattice.rows", *_INT, _TRAIN, "lattice rows"),
     Field("lattice.cols", *_INT, _TRAIN, "lattice cols"),
-    Field("lattice.layout", *_STR, _TRAIN, "lattice layout: hex-offset or rectangular"),
     Field("lattice.metric", *_STR, _TRAIN, "lattice distance: manhattan or hex-axial"),
     Field("schedule.epochs", *_INT, _TRAIN, "training epochs"),
     Field("schedule.alpha0", *_FLOAT, _TRAIN, "initial learning rate"),
@@ -252,7 +252,12 @@ _DEFAULTS = run_config_items(RunConfig())
 
 @dataclass
 class Model:
-    """A trained map plus everything needed to reuse it."""
+    """A trained map plus everything needed to reuse it.
+
+    ``save_model`` writes the codebook, mask, normalization and
+    ``run_config``; the mode, masked configuration, schedule and joint names
+    are read back from ``run_config`` and the codebook shape.
+    """
 
     mode: str
     codebook: Codebook
@@ -264,31 +269,23 @@ class Model:
     run_config: dict[str, str]
 
 
-def _mask_to_dict(mask: ReceptiveFieldMask | None):
-    if mask is None:
-        return None
-    return {
-        "rows": mask.rows,
-        "cols": mask.cols,
-        "mask": [[int(v) for v in row] for row in mask.mask],
-        "groups": list(mask.groups) if mask.groups is not None else None,
-    }
+# the top-level keys of a model document, in file order
+_MODEL_KEYS = ("format", "version", "normalization", "mask", "codebook", "run_config")
 
 
 def model_to_dict(model: Model) -> dict:
+    mask = model.mask
     return {
         "format": "rfsom-model",
-        "version": 1,
-        "mode": model.mode,
-        "joints": list(model.joints),
-        "lattice": asdict(model.codebook.lattice),
-        "mrf_config": asdict(model.mrf_config),
-        "schedule": asdict(model.schedule),
+        "version": 2,
         "normalization": {
             "mean": [float(v) for v in model.normalization.mean],
             "std": [float(v) for v in model.normalization.std],
         },
-        "mask": _mask_to_dict(model.mask),
+        "mask": None if mask is None else {
+            "mask": [[int(v) for v in row] for row in mask.mask],
+            "groups": None if mask.groups is None else list(mask.groups),
+        },
         "codebook": [[float(v) for v in row] for row in model.codebook.weights],
         "run_config": model.run_config,
     }
@@ -296,10 +293,6 @@ def model_to_dict(model: Model) -> dict:
 
 def save_model(model: Model, path) -> None:
     atomic_write_text(path, dump_json(model_to_dict(model)))
-
-
-# JSON types accepted for each scalar type of a model block field
-_JSON_KINDS = {int: int, float: (int, float), str: str}
 
 
 def _expect(doc: dict, key: str, kinds, path) -> object:
@@ -312,38 +305,43 @@ def _expect(doc: dict, key: str, kinds, path) -> object:
     return value
 
 
-def _read_block(doc: dict, key: str, cls, path):
-    """Strict reader for a block that ``model_to_dict`` wrote with ``asdict``."""
-    block = _expect(doc, key, dict, path)
-    where = f"{path}: {key}"
-    unknown = sorted(block.keys() - {f.name for f in fields(cls)})
+def _check_keys(doc: dict, known, where) -> None:
+    unknown = sorted(doc.keys() - set(known))
     if unknown:
         raise ParseError(f"{where}: unknown key {unknown[0]!r}")
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    values = {name: _expect(block, name, _JSON_KINDS[kind], where) for name, kind in kinds.items()}
-    try:
-        return cls(**{name: kinds[name](value) for name, value in values.items()})
-    except (OverflowError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
 
 
-def _read_mask(doc: dict, path) -> ReceptiveFieldMask | None:
-    raw = _expect(doc, "mask", (dict, type(None)), path)
-    if raw is None:
-        return None
-    where = f"{path}: mask"
-    groups = raw.get("groups")
-    return ReceptiveFieldMask(
-        rows=_expect(raw, "rows", int, where),
-        cols=_expect(raw, "cols", int, where),
-        mask=np.array(raw["mask"]),
-        groups=tuple(str(g) for g in groups) if groups is not None else None,
-    )
+# entries of the model's JSON arrays -> (exact JSON types, so a bool is never
+# a number; the dtype they load as)
+_ENTRIES = {
+    "numbers": ((int, float), np.float64),
+    "integers": ((int,), np.int64),
+    "strings": ((str,), object),
+}
+
+
+def _array(doc: dict, key: str, entries: str, ndim: int, where) -> np.ndarray:
+    """A rectangular ``ndim``-deep JSON array whose every entry is one of ``entries``."""
+    value = np.array(_expect(doc, key, list, where), dtype=object)
+    types, dtype = _ENTRIES[entries]
+    if value.ndim != ndim or any(type(v) not in types for v in value.flat):
+        raise ParseError(f"{where}: key {key!r} must be a {ndim}-D array of {entries}")
+    return value.astype(dtype)
+
+
+def _read_mask(raw: dict, lattice: LatticeSpec, where: str) -> ReceptiveFieldMask:
+    _check_keys(raw, ("mask", "groups"), where)
+    groups = _expect(raw, "groups", (list, type(None)), where)
+    if groups is not None:
+        groups = tuple(_array(raw, "groups", "strings", 1, where))
+    mask = _array(raw, "mask", "integers", 2, where)
+    return ReceptiveFieldMask(lattice.rows, lattice.cols, mask, groups)
 
 
 def _read_model(path) -> tuple[Model, RunConfig]:
     """Strict reader for the model JSON, plus its run_config resolved through
-    the config table; malformed or inconsistent content raises ParseError."""
+    the config table, which every configuration value comes from; malformed
+    or inconsistent content raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -354,17 +352,9 @@ def _read_model(path) -> tuple[Model, RunConfig]:
         raise ParseError(f"{path}: model document must be a JSON object")
     if doc.get("format") != "rfsom-model":
         raise ParseError(f"{path}: not a model file (format={doc.get('format')!r})")
-    if doc.get("version") != 1:
+    if doc.get("version") != 2:
         raise ParseError(f"{path}: unsupported model version {doc.get('version')!r}")
-    mode = _expect(doc, "mode", str, path)
-    if mode not in MODES:
-        raise ParseError(f"{path}: unknown mode {mode!r}")
-    joints = tuple(str(j) for j in _expect(doc, "joints", list, path))
-    lattice = _read_block(doc, "lattice", LatticeSpec, path)
-    schedule = _read_block(doc, "schedule", TrainSchedule, path)
-    norm = _expect(doc, "normalization", dict, path)
-    mrf_config = _read_block(doc, "mrf_config", MrfConfig, path)
-    weights = _expect(doc, "codebook", list, path)
+    _check_keys(doc, _MODEL_KEYS, path)
     run_config = _expect(doc, "run_config", dict, path)
     for key in run_config:
         _expect(run_config, key, str, f"{path}: run_config")
@@ -372,29 +362,33 @@ def _read_model(path) -> tuple[Model, RunConfig]:
         cfg = build_run_config(run_config)
     except ValueError as exc:
         raise ParseError(f"{path}: run_config: {exc}") from None
-    stored = {"mode": mode, "lattice": lattice, "schedule": schedule, "mrf_config": mrf_config}
-    for name, value in stored.items():
-        if getattr(cfg, name) != value:
-            raise ParseError(f"{path}: run_config disagrees with the {name!r} field")
+    norm = _expect(doc, "normalization", dict, path)
+    _check_keys(norm, ("mean", "std"), f"{path}: normalization")
+    raw_mask = _expect(doc, "mask", (dict, type(None)), path)
     try:
+        codebook = Codebook(_array(doc, "codebook", "numbers", 2, path), cfg.lattice)
         normalization = NormalizationParams(
-            np.array(norm["mean"], dtype=np.float64),
-            np.array(norm["std"], dtype=np.float64),
+            *(_array(norm, k, "numbers", 1, f"{path}: normalization") for k in ("mean", "std"))
         )
-        codebook = Codebook(np.array(weights, dtype=np.float64), lattice)
-        mask = _read_mask(doc, path)
+        mask = None if raw_mask is None else _read_mask(raw_mask, cfg.lattice, f"{path}: mask")
         if mask is not None:
-            _check_mask_fits(mask, lattice, codebook.dims)
+            _check_mask_fits(mask, cfg.lattice, codebook.dims)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
-    if len(joints) != codebook.dims:
-        raise ParseError(f"{path}: {len(joints)} joint names for {codebook.dims} dims")
-    if (mode == "mrf") != (mask is not None):
-        wanted = "a mask" if mode == "mrf" else '"mask": null'
-        raise ParseError(f"{path}: mode {mode!r} needs {wanted}")
-    model = Model(mode, codebook, mask, mrf_config, normalization, schedule, joints, run_config)
+    if normalization.mean.shape[0] != codebook.dims:
+        raise ParseError(
+            f"{path}: normalization has {normalization.mean.shape[0]} entries "
+            f"for {codebook.dims} dims"
+        )
+    if (cfg.mode == "mrf") != (mask is not None):
+        wanted = "a mask" if cfg.mode == "mrf" else '"mask": null'
+        raise ParseError(f"{path}: mode {cfg.mode!r} needs {wanted}")
+    model = Model(
+        cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
+        joint_names(codebook.dims), run_config,
+    )
     return model, cfg
 
 
@@ -482,7 +476,6 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         trained, log = train(codebook, data, cfg.schedule)
     out = _ensure_out(cfg)
-    joints = JOINT_NAMES if dims == len(JOINT_NAMES) else tuple(f"dim_{j}" for j in range(dims))
     model = Model(
         mode=cfg.mode,
         codebook=trained,
@@ -490,7 +483,7 @@ def cmd_train(cfg: RunConfig) -> int:
         mrf_config=cfg.mrf_config,
         normalization=normalization,
         schedule=cfg.schedule,
-        joints=joints,
+        joints=joint_names(dims),
         run_config=run_config_items(cfg),
     )
     save_model(model, os.path.join(out, "model.json"))
@@ -621,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rfsom",
         description=(
             "Self-organizing map with restricted receptive fields on synthetic "
-            "self-touch joint data. Defaults: 4x4 hexagonal lattice, 7 joint "
-            "angles, built-in overlapping quadrant mask."
+            "self-touch joint data. Defaults: 4x4 lattice with the Manhattan "
+            "metric, 7 joint angles, built-in overlapping quadrant mask."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")

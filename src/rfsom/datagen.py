@@ -28,6 +28,15 @@ JOINT_NAMES = (
 
 CSV_HEADER = ",".join(JOINT_NAMES)
 
+
+def joint_names(dims: int) -> tuple[str, ...]:
+    """Names of a map's input dimensions: the joints for 7-dim data, else
+    ``dim_<j>``."""
+    if dims == len(JOINT_NAMES):
+        return JOINT_NAMES
+    return tuple(f"dim_{j}" for j in range(dims))
+
+
 AXES = ("x", "y", "z")
 
 # internal sampler batch; fixed so results never depend on chunking

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-LAYOUTS = ("hex-offset", "rectangular")
 METRICS = ("manhattan", "hex-axial")
 
 Coord = tuple[int, int]
@@ -24,22 +23,15 @@ Coord = tuple[int, int]
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Shape and geometry of the output grid.
-
-    ``layout`` records how the grid is drawn (hex-offset: odd rows shifted
-    left by half a cell); only ``metric`` affects computed distances.
-    """
+    """Shape and inter-neuron metric of the output grid."""
 
     rows: int = 4
     cols: int = 4
-    layout: str = "hex-offset"
     metric: str = "manhattan"
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"lattice must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
 

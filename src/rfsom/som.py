@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, distance_matrix, neighborhood_weight
+# neighborhood_weight is unused here but stays bound: perfbench/tracer.py rebinds it
+from .lattice import LatticeSpec, neighborhood_weight  # noqa: F401
 
 DECAYS = ("exponential", "linear")
 
@@ -167,22 +168,6 @@ def find_bmu(sample, codebook: Codebook) -> int:
     from .mrf import mrf_find_bmu
 
     return mrf_find_bmu(sample, codebook, *_as_masked(codebook))
-
-
-def update_step(codebook: Codebook, sample, bmu: int, alpha: float, sigma: float) -> Codebook:
-    """One Kohonen update: every neuron moves toward the sample, scaled by
-    alpha and the Gaussian neighborhood of the winner. Returns a new codebook."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = _as_sample(sample, codebook.dims)
-    if not 0 <= bmu < codebook.n_neurons:
-        raise ValueError(f"bmu index {bmu} out of range")
-    h = neighborhood_weight(distance_matrix(codebook.lattice)[bmu], sigma)
-    w = codebook.weights.copy()
-    w += (alpha * h)[:, None] * (x - w)
-    return Codebook(w, codebook.lattice)
 
 
 def shuffle_order(seed: int, epoch: int, n: int) -> np.ndarray:

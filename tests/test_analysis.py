@@ -15,10 +15,9 @@ from rfsom.analysis import (
     cluster_separation_ratio,
     heatmap_csv_text,
     heatmap_pgm_bytes,
-    parse_heatmap_csv,
     report_json_dict,
 )
-from rfsom.fileio import ParseError, dump_json
+from rfsom.fileio import dump_json
 from rfsom.lattice import LatticeSpec, neuron_distance
 from rfsom.mrf import ReceptiveFieldMask, default_quadrant_mask, home_group
 from rfsom.som import Codebook, init_codebook
@@ -120,12 +119,6 @@ def test_distance_map_matches_oracle(metric):
         )
         for coord, value in want.items():
             assert dmap.grid[coord] == pytest.approx(value, rel=0, abs=1e-12)
-
-
-def test_distance_map_rejects_wrong_lattice():
-    cb = init_codebook(LatticeSpec(), 7, 0)
-    with pytest.raises(ValueError, match="lattice"):
-        build_distance_map(cb, default_quadrant_mask(), LatticeSpec(rows=2, cols=2))
 
 
 # ------------------------------------------------------------- encoding report
@@ -269,20 +262,13 @@ def test_heatmap_csv_round_trip_with_nc():
     for j in range(7):
         text = heatmap_csv_text(hm.grids[j], hm.connected[j])
         assert "NC" in text  # default mask always has disconnected cells
-        grid, connected = parse_heatmap_csv(text)
+        cells = [line.split(",") for line in text.splitlines()]
+        connected = np.array([[c != "NC" for c in row] for row in cells])
+        grid = np.array([[np.nan if c == "NC" else float(c) for c in row] for row in cells])
         np.testing.assert_array_equal(connected, hm.connected[j])
         # 17 significant digits keep the round trip bit-exact
         assert grid[connected].tobytes() == hm.grids[j][hm.connected[j]].tobytes()
         assert np.isnan(grid[~connected]).all()
-
-
-def test_parse_heatmap_csv_errors():
-    with pytest.raises(ParseError, match="empty"):
-        parse_heatmap_csv("")
-    with pytest.raises(ParseError, match="line 2"):
-        parse_heatmap_csv("1.0,2.0\n3.0\n")
-    with pytest.raises(ParseError, match="column 2"):
-        parse_heatmap_csv("1.0,zap\n")
 
 
 def test_heatmap_pgm_shape_and_scaling():

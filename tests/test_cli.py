@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rfsom.cli import (
+    FIELDS,
     Model,
     RunConfig,
     _merge_config,
@@ -156,7 +157,7 @@ FLAG_SURFACE = {
     "train": {
         "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": "none",
         "--dataset": "none", "--mode": "mrf", "--mask": "default", "--rows": "4",
-        "--cols": "4", "--layout": "hex-offset", "--metric": "manhattan", "--epochs": "100",
+        "--cols": "4", "--metric": "manhattan", "--epochs": "100",
         "--alpha0": "0.5", "--alpha-end": "0.01", "--sigma0": "2", "--sigma-end": "0.5",
         "--decay": "exponential", "--bmu-scope": "global-masked",
         "--distance-normalization": "rms-per-active-dim", "--combination-threshold": "0.25",
@@ -177,7 +178,7 @@ FLAG_VALUES = {
     "chain.forearm_hand": "0.3", "chain.shoulder_offset": "0,0,0.1",
     "chain.face_target": "0.1,0,0", "chain.touch_radius": "0.4", "dataset": "d.csv",
     "mode": "som", "mask": "m.mask", "lattice.rows": "3", "lattice.cols": "5",
-    "lattice.layout": "rectangular", "lattice.metric": "hex-axial", "schedule.epochs": "7",
+    "lattice.metric": "hex-axial", "schedule.epochs": "7",
     "schedule.alpha0": "0.4", "schedule.alpha_end": "0.02", "schedule.sigma0": "1.5",
     "schedule.sigma_end": "0.25", "schedule.decay": "linear", "mrf.bmu_scope": "per-group",
     "mrf.distance_normalization": "unnormalized", "combination_threshold": "0.3",
@@ -222,6 +223,17 @@ def test_flag_equals_set_override():
             assert via_flag == via_set != build_run_config({}), (command, flag)
             checked.add(key)
     assert checked == set(FLAG_VALUES)
+
+
+def test_readme_config_table_matches_fields():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == {field.key for field in FIELDS}
 
 
 # ------------------------------------------------------------- generate
@@ -466,11 +478,11 @@ def test_model_round_trip_bytes(workspace, tmp_path):
 
 def test_load_model_diagnostics(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text('{"format": "rfsom-model", "version": 2}')
-    with pytest.raises(ParseError, match="version"):
+    path.write_text('{"format": "rfsom-model", "version": 1}')
+    with pytest.raises(ParseError, match="unsupported model version 1"):
         load_model(path)
-    path.write_text('{"format": "rfsom-model", "version": 1, "mode": "mrf"}')
-    with pytest.raises(ParseError, match="missing key"):
+    path.write_text('{"format": "rfsom-model", "version": 2}')
+    with pytest.raises(ParseError, match="missing key 'run_config'"):
         load_model(path)
 
 
@@ -478,28 +490,51 @@ def _set(block, key, value):
     return lambda doc: doc[block].__setitem__(key, value)
 
 
+def _truncate_normalization(doc):
+    for key in ("mean", "std"):
+        doc["normalization"][key] = doc["normalization"][key][:6]
+
+
 # edit of a valid model document -> expected ParseError message
 BAD_MODELS = {
-    "float-in-int-field": (_set("lattice", "rows", 4.9), "'rows' has unexpected type float"),
-    "bool-in-int-field": (_set("schedule", "epochs", True), "'epochs' has unexpected type bool"),
-    "float-seed": (_set("schedule", "seed", 1.5), "'seed' has unexpected type float"),
-    "int-in-str-field": (_set("mrf_config", "bmu_scope", 1), "'bmu_scope' has unexpected type int"),
-    "unknown-block-key": (_set("lattice", "shape", "hex"), "unknown key 'shape'"),
-    "mask-grid": (
-        lambda doc: doc["mask"].update(rows=2, cols=8), "grid 2x8 does not match lattice 4x4"
+    "version-1": (lambda doc: doc.update(version=1), "unsupported model version 1"),
+    "unknown-top-level-key": (
+        lambda doc: doc.update(lattice={"rows": 4, "cols": 4}), "unknown key 'lattice'"
     ),
+    "float-in-int-field": (_set("run_config", "lattice.rows", "4.9"), "invalid configuration"),
+    "bool-in-int-field": (_set("run_config", "schedule.epochs", "true"), "invalid configuration"),
+    "float-seed": (_set("run_config", "seed", "1.5"), "invalid configuration"),
+    "int-in-str-field": (_set("run_config", "mrf.bmu_scope", "1"), "unknown bmu_scope '1'"),
+    "unknown-block-key": (_set("normalization", "scale", [1.0]), "unknown key 'scale'"),
+    "unknown-mask-key": (_set("mask", "rows", 4), "mask: unknown key 'rows'"),
+    "mask-grid": (
+        lambda doc: doc["mask"].update(mask=doc["mask"]["mask"][:8]),
+        "mask has shape (8, 7), expected (16, dims)",
+    ),
+    "float-mask-entry": (
+        lambda doc: doc["mask"]["mask"][0].__setitem__(0, 1.0),
+        "'mask' must be a 2-D array of integers",
+    ),
+    "int-group-labels": (
+        _set("mask", "groups", list(range(16))), "'groups' must be a 1-D array of strings"
+    ),
+    "bool-in-codebook": (
+        lambda doc: doc["codebook"][0].__setitem__(0, True),
+        "'codebook' must be a 2-D array of numbers",
+    ),
+    "bool-in-normalization": (
+        lambda doc: doc["normalization"]["std"].__setitem__(0, True),
+        "'std' must be a 1-D array of numbers",
+    ),
+    "normalization-length": (_truncate_normalization, "normalization has 6 entries for 7 dims"),
     "run-config-unknown-key": (_set("run_config", "lattice.shape", "hex"), "unknown config key"),
     "run-config-malformed": (
         _set("run_config", "combination_threshold", "x"), "invalid configuration"
     ),
     "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
-    "run-config-disagrees": (
-        _set("run_config", "lattice.metric", "hex-axial"), "disagrees with the 'lattice'"
-    ),
     "mrf-without-mask": (lambda doc: doc.update(mask=None), "mode 'mrf' needs a mask"),
     "som-with-mask": (
-        lambda doc: [d.update(mode="som") for d in (doc, doc["run_config"])],
-        "mode 'som' needs \"mask\": null",
+        _set("run_config", "mode", "som"), "mode 'som' needs \"mask\": null"
     ),
 }
 

@@ -1,7 +1,9 @@
 """Golden digests: a tiny seeded CLI tree must stay byte-identical across
 versions, so numerics or format drift shows up as a failing digest.
 
-The digests were recorded before the config-table rewrite of ``rfsom.cli``.
+The digests were recorded before the config-table rewrite of ``rfsom.cli``;
+the three ``*/train`` digests were re-recorded when model.json became
+version 2 (no duplicated configuration blocks, no ``lattice.layout`` key).
 A change that alters any artifact on purpose updates them and says why.
 """
 
@@ -17,13 +19,13 @@ TRAINS = {
 
 GOLDEN = {
     "gen": "b55e13e4910bc9d37a4030c680bd960b8c4691478837c7739631013f48dd2649",
-    "mrf-global/train": "e737b35501d83536d44e790a7d59a28a0007a1e4534cef5361862b5a28a60aa6",
+    "mrf-global/train": "ec49c1e4c114655ec44470cef7a7a8299b1af3de5bad2145d0f516aa8a370df6",
     "mrf-global/eval": "2778e0bdc77465fa6c7909ae0c807e616f22aea7952c07174431f082fe485f5d",
     "mrf-global/export": "69eb2462d398e94c2d89d381810e5630e8f1ec39a0bb907900e2d9622757f91f",
-    "mrf-group/train": "0e4c135ae2a2f990e5d141b8c46c5f0fe44ac8c06bacaddfc478ac8395cc150a",
+    "mrf-group/train": "5e66c1acb7c6a8e3c80d2d3fa2f43340368b72c9814ab45178739cd48cce492c",
     "mrf-group/eval": "662838a1dc310827652f640a3d90871ff38049567305e08aeb761e945f1af1cd",
     "mrf-group/export": "50848c7dde14120db87da2cf582118c154777e4bba2ccf10489e6bed6965ed62",
-    "som/train": "4a7fde5400d650431e548170a30c10d0cde5303c21ca50c6754e70753779ba49",
+    "som/train": "f0f7c8e3cd66e076fa8e656f8efd56f8f4addc5d0feb54a598ce0a0a626ce118",
     "som/eval": "5699ed4132da2ac800d75e5eaf015d080f8c3aaf7268aced3e25b81803f17d46",
     "som/export": "f0784ddad8ba2326e3142a5668874c63708d7617403e70e5347f8a3fc29bf2f4",
 }

@@ -20,7 +20,6 @@ from oracles import gaussian_weight, hex_bfs_distances, manhattan_distance
 def test_defaults_match_reference_setup():
     spec = LatticeSpec()
     assert (spec.rows, spec.cols) == (4, 4)
-    assert spec.layout == "hex-offset"
     assert spec.metric == "manhattan"
     assert spec.n_neurons == 16
 
@@ -35,8 +34,6 @@ def test_row_major_index_round_trip():
 def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
         LatticeSpec(rows=0, cols=4)
-    with pytest.raises(ValueError):
-        LatticeSpec(layout="triangular")
     with pytest.raises(ValueError):
         LatticeSpec(metric="euclidean")
 

@@ -14,7 +14,6 @@ from rfsom.som import (
     quantization_error,
     topographic_error,
     train,
-    update_step,
 )
 
 from oracles import bmu_scan, qe_scan, te_scan, update_scan
@@ -120,31 +119,28 @@ def test_find_bmu_matches_oracle_randomly():
 
 # ------------------------------------------------------------- update step
 
+def update_step(codebook, sample, alpha, sigma):
+    """One Kohonen update as training runs it: one epoch over a one-row
+    dataset, with alpha and sigma held constant."""
+    schedule = TrainSchedule(
+        epochs=1, alpha0=alpha, alpha_end=alpha, sigma0=sigma, sigma_end=sigma
+    )
+    return train(codebook, np.array([sample], dtype=np.float64), schedule)[0]
+
+
 def test_update_step_full_step_reaches_sample():
     lat = LatticeSpec(rows=1, cols=1)
     cb = Codebook(np.array([[0.0, 0.0]]), lat)
-    out = update_step(cb, [1.0, 0.0], 0, 1.0, 1.0)
+    out = update_step(cb, [1.0, 0.0], 1.0, 1.0)
     assert out.weights[0].tolist() == [1.0, 0.0]
 
 
 def test_update_step_half_step_example():
     lat = LatticeSpec(rows=1, cols=1)
     cb = Codebook(np.array([[0.0, 0.0]]), lat)
-    out = update_step(cb, [1.0, 0.0], 0, 0.5, 1.0)
+    out = update_step(cb, [1.0, 0.0], 0.5, 1.0)
     assert out.weights[0].tolist() == [0.5, 0.0]
     assert cb.weights[0].tolist() == [0.0, 0.0]  # input untouched
-
-
-def test_update_step_parameter_validation():
-    cb = Codebook(np.zeros((4, 2)), LatticeSpec(rows=2, cols=2))
-    with pytest.raises(ValueError):
-        update_step(cb, [0.0, 0.0], 0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        update_step(cb, [0.0, 0.0], 0, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        update_step(cb, [0.0, 0.0], 0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        update_step(cb, [0.0, 0.0], 9, 0.5, 1.0)
 
 
 def test_update_step_matches_scalar_oracle():
@@ -152,10 +148,10 @@ def test_update_step_matches_scalar_oracle():
     for _ in range(100):
         cb = small_instance(rng)
         x = rng.uniform(-5.0, 5.0, size=cb.dims)
-        bmu = int(rng.integers(0, cb.n_neurons))
         alpha = float(rng.uniform(0.01, 1.0))
         sigma = float(rng.uniform(0.1, 4.0))
-        got = update_step(cb, x, bmu, alpha, sigma)
+        got = update_step(cb, x, alpha, sigma)
+        bmu = find_bmu(x, cb)
         want = update_scan(cb.weights, cb.lattice.all_coords(), x, bmu, alpha, sigma)
         np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-12)
 
@@ -170,7 +166,7 @@ def test_update_step_convex_hull_attraction(wvals, xvals, alpha, sigma):
     """Each weight moves along the segment toward the sample, never past it."""
     lat = LatticeSpec(rows=1, cols=1)
     cb = Codebook(np.array([wvals]), lat)
-    out = update_step(cb, xvals, 0, alpha, sigma)
+    out = update_step(cb, xvals, alpha, sigma)
     for j in range(2):
         lo, hi = sorted((wvals[j], xvals[j]))
         assert lo - 1e-12 <= out.weights[0, j] <= hi + 1e-12
