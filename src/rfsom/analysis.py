@@ -77,12 +77,13 @@ def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> HeatmapSet:
     return HeatmapSet(joint_names(codebook.dims), grids, connected)
 
 
-def _union_distance(W: np.ndarray, M: np.ndarray, i: int, j: int) -> float:
-    """RMS codebook distance between neurons i and j over the union of their
-    active dimensions."""
-    union = M[i] | M[j]
-    diff = W[i, union] - W[j, union]
-    return float(np.sqrt((diff**2).sum()) / np.sqrt(union.sum()))
+def _union_distances(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(N, N) RMS codebook distances between neurons over the union of each
+    pair's active dimensions."""
+    union = M[:, None, :] | M
+    diff = W[:, None, :] - W
+    # where, not a multiply: an overflowing masked-out difference is dropped, not NaN
+    return np.sqrt(np.where(union, diff**2, 0.0).sum(axis=-1)) / np.sqrt(union.sum(axis=-1))
 
 
 def build_distance_map(codebook: Codebook, mask: ReceptiveFieldMask) -> NeuronDistanceMap:
@@ -90,15 +91,10 @@ def build_distance_map(codebook: Codebook, mask: ReceptiveFieldMask) -> NeuronDi
     neighbors (lattice distance exactly 1 under the configured metric)."""
     _check_mask(mask, codebook)
     lattice = codebook.lattice
-    D = distance_matrix(lattice)
-    W = codebook.weights
-    M = mask.mask
-    grid = np.zeros((lattice.rows, lattice.cols), dtype=np.float64)
-    for i in range(lattice.n_neurons):
-        neighbors = np.flatnonzero(D[i] == 1)
-        dists = [_union_distance(W, M, i, int(j)) for j in neighbors]
-        grid[lattice.coord_of(i)] = float(np.mean(dists)) if dists else 0.0
-    return NeuronDistanceMap(grid)
+    U = _union_distances(codebook.weights, mask.mask)
+    adjacent = distance_matrix(lattice) == 1
+    means = [U[i, adj].mean() if adj.any() else 0.0 for i, adj in enumerate(adjacent)]
+    return NeuronDistanceMap(np.array(means).reshape(lattice.rows, lattice.cols))
 
 
 def build_encoding_report(
@@ -144,16 +140,12 @@ def build_encoding_report(
     else:
         order = ("ungrouped",)
         indices = {"ungrouped": np.arange(mask.n_neurons)}
+    U = _union_distances(codebook.weights, mask.mask)
     k = len(order)
     dist = np.zeros((k, k), dtype=np.float64)
     for a in range(k):
         for b in range(a + 1, k):
-            pairs = [
-                _union_distance(codebook.weights, mask.mask, int(i), int(j))
-                for i in indices[order[a]]
-                for j in indices[order[b]]
-            ]
-            dist[a, b] = dist[b, a] = float(np.mean(pairs))
+            dist[a, b] = dist[b, a] = U[np.ix_(indices[order[a]], indices[order[b]])].mean()
     return EncodingReport(neurons, order, dist)
 
 

@@ -47,6 +47,7 @@ from .mrf import (
     BODY_GROUPS,
     MrfConfig,
     ReceptiveFieldMask,
+    _check_mask,
     default_quadrant_mask,
     full_mask,
     load_mask,
@@ -255,8 +256,9 @@ class Model:
     """A trained map plus everything needed to reuse it.
 
     ``save_model`` writes the codebook, mask, normalization and
-    ``run_config``; the mode, masked configuration, schedule and joint names
-    are read back from ``run_config`` and the codebook shape.
+    ``run_config``; the mode, masked configuration, schedule, lattice and
+    joint names are read back from ``run_config`` and the codebook shape, so
+    construction rejects a model whose fields disagree with them.
     """
 
     mode: str
@@ -267,6 +269,29 @@ class Model:
     schedule: TrainSchedule
     joints: tuple[str, ...]
     run_config: dict[str, str]
+
+    def __post_init__(self) -> None:
+        cfg = build_run_config(self.run_config)
+        derived = {
+            "mode": (self.mode, cfg.mode),
+            "mrf_config": (self.mrf_config, cfg.mrf_config),
+            "schedule": (self.schedule, cfg.schedule),
+            "lattice": (self.codebook.lattice, cfg.lattice),
+            "joints": (self.joints, joint_names(self.codebook.dims)),
+        }
+        for name, (got, want) in derived.items():
+            if got != want:
+                raise ValueError(f"model {name} {got!r} disagrees with run_config ({want!r})")
+        if (self.mode == "mrf") != (self.mask is not None):
+            wanted = "a mask" if self.mode == "mrf" else '"mask": null'
+            raise ValueError(f"mode {self.mode!r} needs {wanted}")
+        if self.mask is not None:
+            _check_mask(self.mask, self.codebook)
+        if self.normalization.mean.shape[0] != self.codebook.dims:
+            raise ValueError(
+                f"normalization has {self.normalization.mean.shape[0]} entries "
+                f"for {self.codebook.dims} dims"
+            )
 
 
 # the top-level keys of a model document, in file order
@@ -371,24 +396,17 @@ def _read_model(path) -> tuple[Model, RunConfig]:
             *(_array(norm, k, "numbers", 1, f"{path}: normalization") for k in ("mean", "std"))
         )
         mask = None if raw_mask is None else _read_mask(raw_mask, cfg.lattice, f"{path}: mask")
-        if mask is not None:
-            _check_mask_fits(mask, cfg.lattice, codebook.dims)
     except ParseError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
-    if normalization.mean.shape[0] != codebook.dims:
-        raise ParseError(
-            f"{path}: normalization has {normalization.mean.shape[0]} entries "
-            f"for {codebook.dims} dims"
+    try:
+        model = Model(
+            cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
+            joint_names(codebook.dims), run_config,
         )
-    if (cfg.mode == "mrf") != (mask is not None):
-        wanted = "a mask" if cfg.mode == "mrf" else '"mask": null'
-        raise ParseError(f"{path}: mode {cfg.mode!r} needs {wanted}")
-    model = Model(
-        cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
-        joint_names(codebook.dims), run_config,
-    )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return model, cfg
 
 
@@ -397,23 +415,12 @@ def load_model(path) -> Model:
     return _read_model(path)[0]
 
 
-def _check_mask_fits(mask: ReceptiveFieldMask, lattice: LatticeSpec, dims: int) -> None:
-    grid = f"{lattice.rows}x{lattice.cols}"
-    if mask.mask.shape != (lattice.n_neurons, dims):
-        raise ValueError(f"mask shape {mask.mask.shape} does not fit {grid} lattice, {dims} dims")
-    if (mask.rows, mask.cols) != (lattice.rows, lattice.cols):
-        raise ValueError(f"mask grid {mask.rows}x{mask.cols} does not match lattice {grid}")
-
-
-def _resolve_mask(cfg: RunConfig, dims: int) -> ReceptiveFieldMask:
+def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
     if cfg.mask == DEFAULT_MASK:
-        mask = default_quadrant_mask()
-    else:
-        if not os.path.exists(cfg.mask):
-            raise ValueError(f"mask file does not exist: {cfg.mask}")
-        mask = load_mask(cfg.mask)
-    _check_mask_fits(mask, cfg.lattice, dims)
-    return mask
+        return default_quadrant_mask()
+    if not os.path.exists(cfg.mask):
+        raise ValueError(f"mask file does not exist: {cfg.mask}")
+    return load_mask(cfg.mask)
 
 
 def _load_dataset(cfg: RunConfig) -> np.ndarray:
@@ -467,7 +474,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if raw.shape[0] < 2:
         raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
     dims = raw.shape[1]
-    mask = _resolve_mask(cfg, dims) if cfg.mode == "mrf" else None
+    mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     normalization = fit_normalization(raw)
     data = apply_normalization(raw, normalization)
     codebook = init_codebook(cfg.lattice, dims, cfg.seed)
@@ -512,13 +519,12 @@ def _model_metrics(model: Model, data: np.ndarray) -> tuple[float, float]:
     return qe, te
 
 
-def _separation_ratio(model: Model, threshold: float) -> float | None:
-    if model.mask is None or model.mask.groups is None:
-        return None
-    if any(g not in model.mask.group_order() for g in BODY_GROUPS):
-        return None
-    report = build_encoding_report(model.codebook, model.mask, threshold)
-    return cluster_separation_ratio(report)
+def _has_body_groups(mask: ReceptiveFieldMask | None) -> bool:
+    """Whether the cluster separation ratio is defined: every body group
+    labels some neuron."""
+    return mask is not None and mask.groups is not None and all(
+        g in mask.group_order() for g in BODY_GROUPS
+    )
 
 
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
@@ -533,7 +539,10 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
         )
     data = apply_normalization(raw, model.normalization)
     qe, te = _model_metrics(model, data)
-    ratio = _separation_ratio(model, trained.combination_threshold)
+    ratio = None
+    if _has_body_groups(model.mask):
+        report = build_encoding_report(model.codebook, model.mask, trained.combination_threshold)
+        ratio = cluster_separation_ratio(report)
     out = _ensure_out(cfg)
     metrics = {
         "format": "rfsom-metrics",
@@ -561,7 +570,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     heatmaps = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
     report = build_encoding_report(model.codebook, mask, trained.combination_threshold)
-    ratio = _separation_ratio(model, trained.combination_threshold)
+    ratio = cluster_separation_ratio(report) if _has_body_groups(mask) else None
     out = _ensure_out(cfg)
     for j, joint in enumerate(heatmaps.joints):
         grid = heatmaps.grids[j]

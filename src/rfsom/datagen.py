@@ -279,12 +279,6 @@ class NormalizationParams:
         self.std = std
 
 
-def _column_name(j: int, dims: int) -> str:
-    if dims == len(JOINT_NAMES):
-        return JOINT_NAMES[j]
-    return f"column {j}"
-
-
 def fit_normalization(dataset) -> NormalizationParams:
     """Per-column mean and population (1/N) standard deviation.
 
@@ -302,9 +296,7 @@ def fit_normalization(dataset) -> NormalizationParams:
     # mean can leave a constant column with a tiny nonzero std
     constant = X.max(axis=0) == X.min(axis=0)
     for j in np.flatnonzero(constant):
-        raise ValueError(
-            f"{_column_name(int(j), X.shape[1])} is constant; cannot normalize"
-        )
+        raise ValueError(f"{joint_names(X.shape[1])[j]} is constant; cannot normalize")
     return NormalizationParams(X.mean(axis=0), X.std(axis=0, ddof=0))
 
 

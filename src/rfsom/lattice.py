@@ -48,10 +48,6 @@ class LatticeSpec:
             raise ValueError(f"neuron index {index} out of range for {self.rows}x{self.cols} lattice")
         return divmod(index, self.cols)
 
-    def all_coords(self) -> list[Coord]:
-        """Coordinates of every neuron in row-major index order."""
-        return [(r, c) for r in range(self.rows) for c in range(self.cols)]
-
 
 def _check_coord(coord: Coord, spec: LatticeSpec) -> None:
     row, col = coord
@@ -59,22 +55,9 @@ def _check_coord(coord: Coord, spec: LatticeSpec) -> None:
         raise ValueError(f"coordinate {coord} outside {spec.rows}x{spec.cols} lattice")
 
 
-def _axial(coord: Coord) -> tuple[int, int]:
-    # offset -> axial for odd rows shifted half a cell to the left
-    row, col = coord
-    return col - (row + (row & 1)) // 2, row
-
-
 def neuron_distance(a: Coord, b: Coord, spec: LatticeSpec) -> int:
     """Lattice distance between two neurons under ``spec.metric``."""
-    _check_coord(a, spec)
-    _check_coord(b, spec)
-    if spec.metric == "manhattan":
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-    aq, ar = _axial(a)
-    bq, br = _axial(b)
-    dq, dr = aq - bq, ar - br
-    return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+    return int(distance_matrix(spec)[spec.index_of(a), spec.index_of(b)])
 
 
 def neighborhood_weight(d, sigma: float):
@@ -96,11 +79,14 @@ def distance_matrix(spec: LatticeSpec) -> np.ndarray:
 
     Cached per spec; the returned array is read-only.
     """
-    coords = spec.all_coords()
-    n = spec.n_neurons
-    out = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(coords):
-        for j, b in enumerate(coords):
-            out[i, j] = neuron_distance(a, b, spec)
+    rows, cols = np.divmod(np.arange(spec.n_neurons, dtype=np.int64), spec.cols)
+    if spec.metric == "hex-axial":
+        # offset -> axial columns for odd rows shifted half a cell to the left
+        cols = cols - (rows + (rows & 1)) // 2
+    drow = rows[:, None] - rows
+    dcol = cols[:, None] - cols
+    out = np.abs(drow) + np.abs(dcol)
+    if spec.metric == "hex-axial":
+        out = (out + np.abs(drow + dcol)) // 2
     out.setflags(write=False)
     return out

@@ -194,10 +194,11 @@ def full_mask(lattice: LatticeSpec, dims: int) -> ReceptiveFieldMask:
 
 
 def _check_mask(mask: ReceptiveFieldMask, codebook: Codebook) -> None:
-    if mask.mask.shape != codebook.weights.shape:
+    lattice = codebook.lattice
+    if (mask.rows, mask.cols, mask.dims) != (lattice.rows, lattice.cols, codebook.dims):
         raise ValueError(
-            f"mask shape {mask.mask.shape} does not match codebook shape "
-            f"{codebook.weights.shape}"
+            f"mask grid {mask.rows}x{mask.cols} with {mask.dims} dims does not match "
+            f"{lattice.rows}x{lattice.cols} lattice with {codebook.dims} dims"
         )
 
 
@@ -207,12 +208,15 @@ def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     return None
 
 
-def _distances(W: np.ndarray, X: np.ndarray, M: np.ndarray, norms) -> np.ndarray:
-    """Masked distances from a sample (shape (dims,)) or samples (shape
-    (n, dims)) to every neuron; the last output axis runs over neurons."""
-    d = np.sqrt((((X[..., None, :] - W) ** 2) * M).sum(axis=-1))
+def _distances(diff: np.ndarray, M: np.ndarray, norms, out=None) -> np.ndarray:
+    """Masked distances from sample-minus-weight differences of shape
+    (..., neurons, dims); the last output axis runs over neurons. ``out``, a
+    buffer shaped like ``diff``, receives the masked squares if given."""
+    sq = np.square(diff, out=out)
+    sq *= M
+    d = np.sqrt(np.add.reduce(sq, axis=-1))
     if norms is not None:
-        d = d / norms
+        d /= norms
     return d
 
 
@@ -239,7 +243,7 @@ def masked_distance(
     x = _as_sample(sample, codebook.dims)
     if not 0 <= neuron < codebook.n_neurons:
         raise ValueError(f"neuron index {neuron} out of range")
-    return float(_distances(codebook.weights, x, mask.mask, _norms(mask, cfg))[neuron])
+    return float(_distances(x - codebook.weights, mask.mask, _norms(mask, cfg))[neuron])
 
 
 def mrf_find_bmu(
@@ -253,7 +257,7 @@ def mrf_find_bmu(
     """
     _check_mask(mask, codebook)
     x = _as_sample(sample, codebook.dims)
-    d = _distances(codebook.weights, x, mask.mask, _norms(mask, cfg))
+    d = _distances(x - codebook.weights, mask.mask, _norms(mask, cfg))
     if cfg.bmu_scope == "global-masked":
         return int(np.argmin(d))
     if mask.groups is None:
@@ -299,11 +303,7 @@ def mrf_train(
     for epoch in range(schedule.epochs):
         for i in shuffle_order(schedule.seed, epoch, n):
             np.subtract(X[i], W, out=step)
-            np.square(step, out=sq)
-            sq *= Mf
-            d = np.sqrt(np.add.reduce(sq, axis=1))
-            if norms is not None:
-                d /= norms
+            d = _distances(step, Mf, norms, out=sq)
             if per_group:
                 for idx in groups:
                     b = idx[d[idx].argmin()]
@@ -315,7 +315,7 @@ def mrf_train(
             # (W += 0.0 would flip the sign of -0.0 entries)
             np.add(W, step, out=W, where=Mb)
             t += 1
-        qe, te = _epoch_metrics(_distances(W, X, Mf, norms), D)
+        qe, te = _epoch_metrics(_distances(X[..., None, :] - W, Mf, norms), D)
         log.quantization_errors.append(qe)
         log.topographic_errors.append(te)
     return Codebook(W, codebook.lattice), log
@@ -326,7 +326,7 @@ def _dataset_distances(
 ) -> np.ndarray:
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
-    return _distances(codebook.weights, X, mask.mask, _norms(mask, cfg))
+    return _distances(X[..., None, :] - codebook.weights, mask.mask, _norms(mask, cfg))
 
 
 def masked_quantization_error(

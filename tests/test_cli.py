@@ -1,6 +1,7 @@
 """Config resolution, subcommand behavior, exit codes, artifact layout."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -23,9 +24,11 @@ from rfsom.cli import (
     run_config_items,
     save_model,
 )
-from rfsom.datagen import load_csv
+from rfsom.datagen import joint_names, load_csv
 from rfsom.fileio import ParseError
-from rfsom.som import init_codebook
+from rfsom.lattice import LatticeSpec
+from rfsom.mrf import MrfConfig, ReceptiveFieldMask, default_quadrant_mask, save_mask
+from rfsom.som import TrainSchedule, init_codebook
 
 EASY = ["--touch-radius", "0.5"]  # keeps rejection sampling fast in tests
 
@@ -358,6 +361,16 @@ def test_train_single_neuron_lattice_exit4_before_loading(workspace, tmp_path, c
     assert not out.exists()
 
 
+def test_train_mask_grid_mismatch_exit4_without_output(workspace, tmp_path, capsys):
+    quadrant = default_quadrant_mask()
+    save_mask(ReceptiveFieldMask(2, 8, quadrant.mask, quadrant.groups), tmp_path / "2x8.mask")
+    out = tmp_path / "out"
+    extra = ("--mask", str(tmp_path / "2x8.mask"))
+    assert run_cli(*train_args(out, workspace / "gen" / "dataset.csv", extra=extra)) == 4
+    assert "mask grid 2x8 with 7 dims does not match 4x4 lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- evaluate
 
 def test_evaluate_metrics_deterministic(workspace, tmp_path):
@@ -550,6 +563,31 @@ def test_malformed_model_rejected_before_any_write(workspace, tmp_path, edit, me
     out = tmp_path / "out"
     assert run_cli("export", "--model", str(path), "--out", str(out)) == 4
     assert not out.exists()
+
+
+# field edit of a loaded global-masked model -> expected error
+DISAGREEING_MODELS = {
+    "mode": ({"mode": "som", "mask": None}, "model mode 'som' disagrees with run_config"),
+    "mrf-config": (
+        {"mrf_config": MrfConfig(bmu_scope="per-group")}, "model mrf_config MrfConfig(bmu_scope"
+    ),
+    "schedule": ({"schedule": TrainSchedule(epochs=1)}, "model schedule TrainSchedule(epochs=1"),
+    "joints": ({"joints": joint_names(7)[::-1]}, "model joints ('wrist'"),
+    "mode-and-mask": ({"mask": None}, "mode 'mrf' needs a mask"),
+    "lattice": (
+        {"codebook": init_codebook(LatticeSpec(metric="hex-axial"), 7, 0)},
+        "model lattice LatticeSpec(rows=4, cols=4, metric='hex-axial')",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, message", DISAGREEING_MODELS.values(), ids=DISAGREEING_MODELS.keys()
+)
+def test_model_disagreeing_with_run_config_rejected(workspace, fields, message):
+    model = load_model(workspace / "run" / "model.json")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(model, **fields)
 
 
 # ------------------------------------------------------------- entry points

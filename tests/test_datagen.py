@@ -268,6 +268,8 @@ def test_fit_normalization_constant_column_names_joint():
     X[:, 6] = 0.42
     with pytest.raises(ValueError, match="wrist"):
         fit_normalization(X)
+    with pytest.raises(ValueError, match="dim_3 is constant"):
+        fit_normalization(X[:, 3:])
     with pytest.raises(ValueError, match="at least 2 rows"):
         fit_normalization(X[:1])
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfsom.analysis import build_encoding_report
 from rfsom.fileio import ParseError
 from rfsom.lattice import LatticeSpec
 from rfsom.mrf import (
@@ -69,6 +70,24 @@ def test_mask_invariants_enforced():
         ReceptiveFieldMask(2, 2, np.ones((3, 3), dtype=bool))
     with pytest.raises(ValueError):
         ReceptiveFieldMask(2, 2, np.ones((4, 3), dtype=bool), groups=("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb, mask, X: mrf_train(cb, X, mask, TrainSchedule(epochs=1)),
+        lambda cb, mask, X: mrf_find_bmu(X[0], cb, mask),
+        lambda cb, mask, X: masked_quantization_error(cb, X, mask),
+        lambda cb, mask, X: build_encoding_report(cb, mask),
+    ],
+    ids=["mrf_train", "mrf_find_bmu", "masked_quantization_error", "build_encoding_report"],
+)
+def test_mask_grid_must_match_lattice(call):
+    """A 2x8 mask has the 16 rows of a 4x4 codebook but not its grid."""
+    quadrant = default_quadrant_mask()
+    mask = ReceptiveFieldMask(2, 8, quadrant.mask, quadrant.groups)
+    with pytest.raises(ValueError, match="mask grid 2x8 with 7 dims does not match 4x4 lattice"):
+        call(init_codebook(LatticeSpec(), 7, 0), mask, np.zeros((2, 7)))
 
 
 def test_home_group_parsing():

@@ -152,7 +152,8 @@ def test_update_step_matches_scalar_oracle():
         sigma = float(rng.uniform(0.1, 4.0))
         got = update_step(cb, x, alpha, sigma)
         bmu = find_bmu(x, cb)
-        want = update_scan(cb.weights, cb.lattice.all_coords(), x, bmu, alpha, sigma)
+        coords = [cb.lattice.coord_of(i) for i in range(cb.n_neurons)]
+        want = update_scan(cb.weights, coords, x, bmu, alpha, sigma)
         np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-12)
 
 
