@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .datagen import (
     save_csv,
     synthesize_self_touch,
 )
-from .fileio import ParseError, atomic_write_bytes, atomic_write_text, dump_json, format_float
+from .fileio import (
+    ParseError, atomic_write_bytes, atomic_write_text, dump_json, format_float, read_lines,
+)
 from .lattice import LatticeSpec
 from .mrf import (
     BODY_GROUPS,
@@ -102,21 +104,20 @@ def _parse_vector(text: str, length: int) -> tuple[float, ...]:
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; ``#`` comments and blank lines ignored."""
     flat: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ParseError(f"{path}: line {lineno}: empty key")
-            if key in flat:
-                raise ParseError(f"{path}: line {lineno}: duplicate key {key!r}")
-            flat[key] = value
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ParseError(f"{path}: line {lineno}: empty key")
+        if key in flat:
+            raise ParseError(f"{path}: line {lineno}: duplicate key {key!r}")
+        flat[key] = value
     return flat
 
 
@@ -251,14 +252,14 @@ def run_config_items(cfg: RunConfig) -> dict[str, str]:
 _DEFAULTS = run_config_items(RunConfig())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """A trained map plus everything needed to reuse it.
+    """A trained map plus everything needed to reuse it; immutable.
 
     ``save_model`` writes the codebook, mask, normalization and
-    ``run_config``; the mode, masked configuration, schedule, lattice and
-    joint names are read back from ``run_config`` and the codebook shape, so
-    construction rejects a model whose fields disagree with them.
+    ``run_config``, which ``config`` holds resolved. The mode, masked
+    configuration, schedule, lattice and joint names are read back from it
+    and the codebook shape, so construction rejects a model that disagrees.
     """
 
     mode: str
@@ -269,6 +270,7 @@ class Model:
     schedule: TrainSchedule
     joints: tuple[str, ...]
     run_config: dict[str, str]
+    config: RunConfig = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cfg = build_run_config(self.run_config)
@@ -292,15 +294,16 @@ class Model:
                 f"normalization has {self.normalization.mean.shape[0]} entries "
                 f"for {self.codebook.dims} dims"
             )
+        object.__setattr__(self, "config", cfg)
 
 
 # the top-level keys of a model document, in file order
 _MODEL_KEYS = ("format", "version", "normalization", "mask", "codebook", "run_config")
 
 
-def model_to_dict(model: Model) -> dict:
+def save_model(model: Model, path) -> None:
     mask = model.mask
-    return {
+    doc = {
         "format": "rfsom-model",
         "version": 2,
         "normalization": {
@@ -314,10 +317,7 @@ def model_to_dict(model: Model) -> dict:
         "codebook": [[float(v) for v in row] for row in model.codebook.weights],
         "run_config": model.run_config,
     }
-
-
-def save_model(model: Model, path) -> None:
-    atomic_write_text(path, dump_json(model_to_dict(model)))
+    atomic_write_text(path, dump_json(doc))
 
 
 def _expect(doc: dict, key: str, kinds, path) -> object:
@@ -363,14 +363,12 @@ def _read_mask(raw: dict, lattice: LatticeSpec, where: str) -> ReceptiveFieldMas
     return ReceptiveFieldMask(lattice.rows, lattice.cols, mask, groups)
 
 
-def _read_model(path) -> tuple[Model, RunConfig]:
-    """Strict reader for the model JSON, plus its run_config resolved through
-    the config table, which every configuration value comes from; malformed
+def load_model(path) -> Model:
+    """Strict reader for the model JSON, whose every configuration value
+    comes from its run_config resolved through the config table; malformed
     or inconsistent content raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads("\n".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -401,25 +399,17 @@ def _read_model(path) -> tuple[Model, RunConfig]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     try:
-        model = Model(
+        return Model(
             cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
             joint_names(codebook.dims), run_config,
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return model, cfg
-
-
-def load_model(path) -> Model:
-    """Strict reader for the model JSON; malformed content raises ParseError."""
-    return _read_model(path)[0]
 
 
 def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
     if cfg.mask == DEFAULT_MASK:
         return default_quadrant_mask()
-    if not os.path.exists(cfg.mask):
-        raise ValueError(f"mask file does not exist: {cfg.mask}")
     return load_mask(cfg.mask)
 
 
@@ -430,8 +420,6 @@ def _load_dataset(cfg: RunConfig) -> np.ndarray:
     if source.startswith(SYNTH_PREFIX):
         n = int(source[len(SYNTH_PREFIX) :])
         return synthesize_self_touch(cfg.chain, n, cfg.seed, cfg.max_attempts).data
-    if not os.path.exists(source):
-        raise ValueError(f"dataset file does not exist: {source}")
     return load_csv(source)
 
 
@@ -529,9 +517,7 @@ def _has_body_groups(mask: ReceptiveFieldMask | None) -> bool:
 
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
-    if not os.path.exists(model_path):
-        raise ValueError(f"model file does not exist: {model_path}")
-    model, trained = _read_model(model_path)
+    model = load_model(model_path)
     raw = _load_dataset(replace(cfg, dataset=dataset_path))
     if raw.shape[1] != model.codebook.dims:
         raise ValueError(
@@ -541,7 +527,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     qe, te = _model_metrics(model, data)
     ratio = None
     if _has_body_groups(model.mask):
-        report = build_encoding_report(model.codebook, model.mask, trained.combination_threshold)
+        report = build_encoding_report(model.codebook, model.mask, model.config.combination_threshold)
         ratio = cluster_separation_ratio(report)
     out = _ensure_out(cfg)
     metrics = {
@@ -560,16 +546,14 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
 
 def cmd_export(cfg: RunConfig, model_path: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
-    if not os.path.exists(model_path):
-        raise ValueError(f"model file does not exist: {model_path}")
-    model, trained = _read_model(model_path)
+    model = load_model(model_path)
     mask = model.mask
     if mask is None:
         # unrestricted map: analysis runs over an all-true field, no groups
         mask = full_mask(model.codebook.lattice, model.codebook.dims)
     heatmaps = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
-    report = build_encoding_report(model.codebook, mask, trained.combination_threshold)
+    report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
     ratio = cluster_separation_ratio(report) if _has_body_groups(mask) else None
     out = _ensure_out(cfg)
     for j, joint in enumerate(heatmaps.joints):
@@ -593,8 +577,6 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     flat: dict[str, str] = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise ValueError(f"config file does not exist: {args.config}")
         flat.update(parse_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
@@ -661,9 +643,10 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         return args.func(cfg, *(getattr(args, option) for option in args.paths))
     except (SamplingError, ValueError, OSError) as exc:
-        # ParseError is a ValueError: malformed files share the config-error code
+        # ParseError is a ValueError: malformed and missing inputs exit 4
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SamplingError) else 4 if isinstance(exc, ValueError) else 5
+        code = 4 if isinstance(exc, (ValueError, FileNotFoundError)) else 5
+        return 3 if isinstance(exc, SamplingError) else code
 
 
 def run() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import ParseError, atomic_write_text, format_float
+from .fileio import ParseError, atomic_write_text, format_float, read_lines
 from .som import _check_seed
 
 JOINT_NAMES = (
@@ -227,10 +227,7 @@ def save_csv(dataset, path) -> None:
 def load_csv(path) -> np.ndarray:
     """Read the dataset format back; exact inverse of ``save_csv`` at full
     printed precision."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    while raw and raw[-1] == "":
-        raw.pop()
+    raw = read_lines(path)
     if not raw or raw[0] != CSV_HEADER:
         got = raw[0] if raw else ""
         raise ParseError(f"{path}: line 1: expected header {CSV_HEADER!r}, got {got!r}")

@@ -1,8 +1,9 @@
-"""Deterministic file I/O helpers shared by the dataset, mask, and model formats.
+"""File I/O helpers shared by the dataset, mask, model and config formats.
 
-All writers produce byte-identical output for identical inputs: floats are
-rendered with 17 significant digits (lossless for float64), JSON keys keep
-insertion order, and writes go through a temp file + atomic rename.
+Every input file is read by ``read_lines``. All writers produce
+byte-identical output for identical inputs: floats are rendered with 17
+significant digits (lossless for float64), JSON keys keep insertion order,
+and writes go through a temp file + atomic rename.
 """
 
 from __future__ import annotations
@@ -14,6 +15,27 @@ import tempfile
 
 class ParseError(ValueError):
     """A file exists and is readable but its contents are malformed."""
+
+
+def read_lines(path) -> list[str]:
+    r"""Lines of a UTF-8 input file: ``\n``, ``\r\n`` and ``\r`` end a line (not
+    the ``\x0c``, ``\x85`` or Unicode separators ``str.splitlines`` adds) and
+    trailing empty lines are dropped. Bytes that are not UTF-8 raise
+    ParseError naming the path, line and column."""
+    with open(path, "rb") as fh:
+        # no UTF-8 multibyte sequence contains the byte \r or \n
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8").split("\n")
+        raise ParseError(
+            f"{path}: line {len(before)}, column {len(before[-1]) + 1}: "
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def format_float(x: float) -> str:

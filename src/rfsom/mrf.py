@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import ParseError, atomic_write_text
+from .fileio import ParseError, atomic_write_text, read_lines
 from .lattice import LatticeSpec, distance_matrix, neighborhood_weight
 from .som import (
     Codebook,
@@ -367,11 +367,7 @@ def load_mask(path) -> ReceptiveFieldMask:
     space-separated 0/1; then optionally one ``#group <label>`` line per
     neuron. Round-trips bit-exactly through ``save_mask``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    # a single trailing newline is part of the format, not an empty record
-    while raw and raw[-1] == "":
-        raw.pop()
+    raw = read_lines(path)
     if not raw:
         raise ParseError(f"{path}: line 1: empty mask file")
     header = raw[0].split()

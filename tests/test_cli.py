@@ -414,17 +414,25 @@ def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
     assert "expected header" in capsys.readouterr().err
 
 
-def test_evaluate_missing_model_exit4(workspace, tmp_path):
-    code = run_cli(
-        "evaluate",
-        "--model",
-        str(tmp_path / "missing.json"),
-        "--dataset-path",
-        str(workspace / "gen" / "dataset.csv"),
-        "--out",
-        str(tmp_path / "out"),
-    )
-    assert code == 4
+# the input a command reads -> its arguments, given a workspace and a missing path
+MISSING_INPUTS = {
+    "config": lambda ws, p: ["generate", "--config", p],
+    "dataset": lambda ws, p: ["train", "--dataset", p],
+    "mask": lambda ws, p: ["train", "--dataset", str(ws / "gen" / "dataset.csv"), "--mask", p],
+    "evaluate-model": lambda ws, p: [
+        "evaluate", "--model", p, "--dataset-path", str(ws / "gen" / "dataset.csv")
+    ],
+    "export-model": lambda ws, p: ["export", "--model", p],
+}
+
+
+@pytest.mark.parametrize("argv", MISSING_INPUTS.values(), ids=MISSING_INPUTS.keys())
+def test_missing_input_exit4(workspace, tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    assert run_cli(*argv(workspace, missing), "--out", str(out)) == 4
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- export
@@ -588,6 +596,13 @@ def test_model_disagreeing_with_run_config_rejected(workspace, fields, message):
     model = load_model(workspace / "run" / "model.json")
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(model, **fields)
+
+
+def test_loaded_model_is_frozen(workspace):
+    model = load_model(workspace / "run" / "model.json")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.mode = "som"
+    assert model.config == build_run_config(model.run_config)
 
 
 # ------------------------------------------------------------- entry points

@@ -1,8 +1,9 @@
-"""Float rendering, deterministic JSON, atomic writes."""
+"""Line reading, float rendering, deterministic JSON, atomic writes."""
 
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,33 @@ from rfsom.fileio import (
     atomic_write_text,
     dump_json,
     format_float,
+    read_lines,
 )
 
 
 def test_parse_error_is_value_error():
     assert issubclass(ParseError, ValueError)
+
+
+# ------------------------------------------------------------- line reading
+
+def test_read_lines_line_ends_and_trailing_blanks(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a\r\nb\rc\n\nd\x0ce\xc2\x85f\n\r\n\r")
+    # form feed and NEL stay inside their line; only trailing empty lines go
+    assert read_lines(path) == ["a", "b", "c", "", "d\x0ce\x85f"]
+    path.write_bytes(b"")
+    assert read_lines(path) == []
+
+
+def test_read_lines_bad_byte_located_in_characters(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("x\r\ny\rz\u00e9\u00e9".encode() + b"\xff\n")
+    message = f"{path}: line 3, column 4: invalid UTF-8 byte 0xff"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_lines(path)
+    with pytest.raises(FileNotFoundError):
+        read_lines(tmp_path / "missing.txt")
 
 
 # ------------------------------------------------------------- float format
