@@ -315,7 +315,8 @@ def save_model(model: Model, path) -> None:
             "groups": None if mask.groups is None else list(mask.groups),
         },
         "codebook": [[float(v) for v in row] for row in model.codebook.weights],
-        "run_config": model.run_config,
+        # the resolved config, not the ``run_config`` dict a caller can mutate
+        "run_config": run_config_items(model.config),
     }
     atomic_write_text(path, dump_json(doc))
 

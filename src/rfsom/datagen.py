@@ -5,10 +5,16 @@ a two-joint head. Configurations are drawn uniformly inside the joint limits
 and kept when the hand lands within the touch radius of the face target.
 All geometry lives in ``ChainSpec`` and is an artifact default, not recorded
 robot data.
+
+The sampler runs the arm kinematics on a whole batch, one array per
+coordinate. The head kinematics and the exact touch test run only on the
+draws whose hand distance from the torso origin is within the touch radius
+of |face_target|, since no other draw can touch (``_touch_hits``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,47 +105,67 @@ class ChainSpec:
         return np.array([hi for _, hi in self.joint_limits], dtype=np.float64)
 
 
-def _rotate(axis: str, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate batch of 3-vectors ``v`` (B, 3) by ``theta`` (B,) about a
-    torso-frame axis, right-handed."""
+def _rotate(axis: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Rotate the 3-vectors ``(x, y, z)``, one (B,) array per coordinate, by
+    ``theta`` (B,) about a torso-frame axis, right-handed."""
     c = np.cos(theta)
     s = np.sin(theta)
-    out = np.empty_like(v)
     if axis == "x":
-        out[:, 0] = v[:, 0]
-        out[:, 1] = c * v[:, 1] - s * v[:, 2]
-        out[:, 2] = s * v[:, 1] + c * v[:, 2]
-    elif axis == "y":
-        out[:, 0] = c * v[:, 0] + s * v[:, 2]
-        out[:, 1] = v[:, 1]
-        out[:, 2] = -s * v[:, 0] + c * v[:, 2]
-    else:
-        out[:, 0] = c * v[:, 0] - s * v[:, 1]
-        out[:, 1] = s * v[:, 0] + c * v[:, 1]
-        out[:, 2] = v[:, 2]
-    return out
+        return x, c * y - s * z, s * y + c * z
+    if axis == "y":
+        return c * x + s * z, y, -s * x + c * z
+    return c * x - s * y, s * x + c * y, z
 
 
-def _positions(angles: np.ndarray, chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Hand and face-target positions for a (B, 7) batch of joint angles."""
+def _hand(angles: np.ndarray, chain: ChainSpec):
+    """Hand position ``(x, y, z)`` for a (B, 7) batch of joint angles."""
     ax = chain.joint_axes
     b = angles.shape[0]
-    v = np.zeros((b, 3), dtype=np.float64)
-    v[:, 0] = chain.forearm_hand
+    x = np.full(b, chain.forearm_hand, dtype=np.float64)
+    y = np.zeros(b)
+    z = np.zeros(b)
     # chain from torso: shoulder roll, shoulder pitch, upper arm, elbow yaw
     # (twist about the upper-arm axis), elbow roll (flexion), wrist, forearm;
     # rotations apply innermost first
-    v = _rotate(ax[6], angles[:, 6], v)
-    v = _rotate(ax[4], angles[:, 4], v)
-    v = _rotate(ax[5], angles[:, 5], v)
-    v[:, 0] += chain.upper_arm
-    v = _rotate(ax[3], angles[:, 3], v)
-    v = _rotate(ax[2], angles[:, 2], v)
-    hand = np.asarray(chain.shoulder_offset, dtype=np.float64) + v
-    t = np.tile(np.asarray(chain.face_target, dtype=np.float64), (b, 1))
-    t = _rotate(ax[1], angles[:, 1], t)
-    t = _rotate(ax[0], angles[:, 0], t)
-    return hand, t
+    x, y, z = _rotate(ax[6], angles[:, 6], x, y, z)
+    x, y, z = _rotate(ax[4], angles[:, 4], x, y, z)
+    x, y, z = _rotate(ax[5], angles[:, 5], x, y, z)
+    x = x + chain.upper_arm
+    x, y, z = _rotate(ax[3], angles[:, 3], x, y, z)
+    x, y, z = _rotate(ax[2], angles[:, 2], x, y, z)
+    ox, oy, oz = chain.shoulder_offset
+    return ox + x, oy + y, oz + z
+
+
+def _target(angles: np.ndarray, chain: ChainSpec):
+    """Face-target position ``(x, y, z)`` for a (B, 7) batch of joint angles."""
+    ax = chain.joint_axes
+    b = angles.shape[0]
+    x, y, z = (np.full(b, v, dtype=np.float64) for v in chain.face_target)
+    x, y, z = _rotate(ax[1], angles[:, 1], x, y, z)
+    return _rotate(ax[0], angles[:, 0], x, y, z)
+
+
+def _touch_hits(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
+    """Indices of the rows of a (B, 7) batch whose hand lands within
+    ``touch_radius`` of the face target, ascending.
+
+    The head rotates about the torso origin, so the target stays at distance
+    rho = |face_target| from it, and the triangle inequality gives
+    gap >= | |hand| - rho |. Only draws passing that bound, with a slack that
+    float rounding cannot exhaust, get the head kinematics and the exact test.
+    """
+    r = chain.touch_radius
+    hx, hy, hz = _hand(draw, chain)
+    rho = math.hypot(*chain.face_target)
+    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+    cand = np.flatnonzero(np.abs(norm - rho) < r * (1 + 1e-9) + 1e-12)
+    tx, ty, tz = _target(draw[cand], chain)
+    dx = hx[cand] - tx
+    dy = hy[cand] - ty
+    dz = hz[cand] - tz
+    gap = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    return cand[gap < r]
 
 
 def forward_kinematics(sample, chain: ChainSpec = ChainSpec()) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +177,8 @@ def forward_kinematics(sample, chain: ChainSpec = ChainSpec()) -> tuple[np.ndarr
     for name, angle, (lo, hi) in zip(JOINT_NAMES, x, chain.joint_limits):
         if not lo <= angle <= hi:
             raise ValueError(f"{name} angle {angle} outside limits [{lo}, {hi}]")
-    hand, target = _positions(x[None, :], chain)
-    return hand[0], target[0]
+    row = x[None, :]
+    return np.concatenate(_hand(row, chain)), np.concatenate(_target(row, chain))
 
 
 @dataclass
@@ -188,9 +214,7 @@ def synthesize_self_touch(
     drawn = 0
     while True:
         draw = rng.uniform(lo, hi, size=(_BATCH, len(JOINT_NAMES)))
-        hand, target = _positions(draw, chain)
-        gap = np.sqrt(((hand - target) ** 2).sum(axis=1))
-        hits = np.flatnonzero(gap < chain.touch_radius)
+        hits = _touch_hits(draw, chain)
         if accepted + hits.size >= n:
             need = n - accepted
             last = hits[need - 1]

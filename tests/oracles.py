@@ -2,8 +2,11 @@
 
 Every function here deliberately takes a different computational route from
 the production code (pure-Python scalar loops, homogeneous-matrix kinematics,
-geometric hex adjacency) so agreement is evidence, not tautology. Do not
-import production helpers beyond plain data containers.
+geometric hex adjacency) so agreement is evidence, not tautology. The one
+exception is the sampler reference at the end: it keeps the batch layout the
+sampler had before its per-coordinate rewrite, with the same per-element
+operations, so the two must agree bit for bit. Do not import production
+helpers beyond plain data containers.
 """
 
 from __future__ import annotations
@@ -252,6 +255,46 @@ def fk_matrix_oracle(angles, chain):
         ],
     )
     return arm[:3, 3].copy(), head[:3, 3].copy()
+
+
+def _rotate_rows(axis: str, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    c = np.cos(theta)
+    s = np.sin(theta)
+    out = np.empty_like(v)
+    if axis == "x":
+        out[:, 0] = v[:, 0]
+        out[:, 1] = c * v[:, 1] - s * v[:, 2]
+        out[:, 2] = s * v[:, 1] + c * v[:, 2]
+    elif axis == "y":
+        out[:, 0] = c * v[:, 0] + s * v[:, 2]
+        out[:, 1] = v[:, 1]
+        out[:, 2] = -s * v[:, 0] + c * v[:, 2]
+    else:
+        out[:, 0] = c * v[:, 0] - s * v[:, 1]
+        out[:, 1] = s * v[:, 0] + c * v[:, 1]
+        out[:, 2] = v[:, 2]
+    return out
+
+
+def touch_gaps_rows(angles: np.ndarray, chain) -> np.ndarray:
+    """Hand-to-face-target distance for every row of a (B, 7) batch, with
+    hand and target as (B, 3) arrays and every head rotated: the sampler's
+    former batch path, whose gaps the sampler must reproduce bit for bit."""
+    ax = chain.joint_axes
+    b = angles.shape[0]
+    v = np.zeros((b, 3), dtype=np.float64)
+    v[:, 0] = chain.forearm_hand
+    v = _rotate_rows(ax[6], angles[:, 6], v)
+    v = _rotate_rows(ax[4], angles[:, 4], v)
+    v = _rotate_rows(ax[5], angles[:, 5], v)
+    v[:, 0] += chain.upper_arm
+    v = _rotate_rows(ax[3], angles[:, 3], v)
+    v = _rotate_rows(ax[2], angles[:, 2], v)
+    hand = np.asarray(chain.shoulder_offset, dtype=np.float64) + v
+    t = np.tile(np.asarray(chain.face_target, dtype=np.float64), (b, 1))
+    t = _rotate_rows(ax[1], angles[:, 1], t)
+    t = _rotate_rows(ax[0], angles[:, 0], t)
+    return np.sqrt(((hand - t) ** 2).sum(axis=1))
 
 
 def pearson_scan(a, b) -> float:

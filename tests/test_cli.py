@@ -605,6 +605,17 @@ def test_loaded_model_is_frozen(workspace):
     assert model.config == build_run_config(model.run_config)
 
 
+def test_save_model_ignores_mutated_run_config_dict(workspace, tmp_path):
+    """The frozen model's run_config is a plain dict; editing it after load
+    must not reach the saved file."""
+    saved = workspace / "run" / "model.json"
+    model = load_model(saved)
+    model.run_config["mode"] = "som"
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json").mode == "mrf"
+    assert (tmp_path / "model.json").read_bytes() == saved.read_bytes()
+
+
 # ------------------------------------------------------------- entry points
 
 def test_usage_errors_exit2_and_help_exits0(capsys):

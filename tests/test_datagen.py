@@ -13,6 +13,7 @@ from rfsom.datagen import (
     ChainSpec,
     NormalizationParams,
     SamplingError,
+    _touch_hits,
     apply_normalization,
     fit_normalization,
     forward_kinematics,
@@ -23,7 +24,7 @@ from rfsom.datagen import (
 )
 from rfsom.fileio import ParseError
 
-from oracles import fk_matrix_oracle, pearson_scan
+from oracles import fk_matrix_oracle, pearson_scan, touch_gaps_rows
 
 
 def widened_chain(**overrides):
@@ -181,6 +182,57 @@ def test_synthesize_rejects_bad_arguments():
         synthesize_self_touch(ChainSpec(), 0, seed=0)
     with pytest.raises(ValueError):
         synthesize_self_touch(ChainSpec(), 5, seed=0, max_attempts=0)
+
+
+HIT_CHAINS = {
+    "default": ChainSpec(),
+    "r0.1": easy_chain(0.1),
+    "r0.005": easy_chain(0.005),
+    "permuted-axes": dataclasses.replace(
+        ChainSpec(), joint_axes=("x", "z", "y", "z", "x", "y", "z"), touch_radius=0.01
+    ),
+    "r-inf": easy_chain(math.inf),
+}
+
+
+@pytest.mark.parametrize("chain", HIT_CHAINS.values(), ids=HIT_CHAINS.keys())
+def test_touch_hits_match_row_reference(chain):
+    """The norm prefilter drops no draw the exact test keeps: hits equal the
+    former every-row batch path on full sampler batches."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        draw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+        want = np.flatnonzero(touch_gaps_rows(draw, chain) < chain.touch_radius)
+        np.testing.assert_array_equal(_touch_hits(draw, chain), want)
+
+
+def collinear_case(n, seed):
+    """A chain and ``n`` poses of it whose hand lies on the ray from the torso
+    origin through the face target, so the gap equals | |hand| - rho | and
+    only the prefilter's slack keeps a draw whose gap sits at the radius."""
+    chain = widened_chain(shoulder_offset=(0.0, 0.0, 0.0), face_target=(0.05, 0.0, 0.0))
+    draw = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, 7))
+    draw[:, 2] = draw[:, 0]  # shoulder roll follows head yaw (both about z)
+    draw[:, 3] = draw[:, 1]  # shoulder pitch follows head pitch (both about y)
+    draw[:, 4] = 0.0  # straight elbow; elbow yaw and wrist turn about the arm
+    return chain, draw
+
+
+def test_touch_hits_exact_at_the_radius():
+    """A draw is rejected at touch_radius == its gap and accepted one ulp
+    above: the exact test decides, the prefilter never does."""
+    default = ChainSpec()
+    cases = [
+        (default, np.random.default_rng(11).uniform(
+            default.lower_limits, default.upper_limits, size=(50, 7))),
+        collinear_case(50, 12),
+    ]
+    for chain, draw in cases:
+        for i, gap in enumerate(touch_gaps_rows(draw, chain)):
+            at = dataclasses.replace(chain, touch_radius=gap)
+            above = dataclasses.replace(chain, touch_radius=np.nextafter(gap, np.inf))
+            assert i not in _touch_hits(draw, at)
+            assert i in _touch_hits(draw, above)
 
 
 def test_synthesized_joints_are_mutually_correlated(synth_cache):

@@ -5,11 +5,19 @@ The digests were recorded before the config-table rewrite of ``rfsom.cli``;
 the three ``*/train`` digests were re-recorded when model.json became
 version 2 (no duplicated configuration blocks, no ``lattice.layout`` key).
 A change that alters any artifact on purpose updates them and says why.
+
+The sampler digests pin the rows and the draw count of ``synthesize_self_touch``
+at small touch radii, where its norm prefilter rejects most draws; the CLI
+tree samples at radius 0.5, where nearly every draw passes it.
 """
 
+import dataclasses
 import hashlib
 
+import pytest
+
 from rfsom.cli import main
+from rfsom.datagen import ChainSpec, synthesize_self_touch
 
 TRAINS = {
     "mrf-global": [],
@@ -55,3 +63,33 @@ def test_golden_cli_tree(tmp_path, monkeypatch):
         assert main(args) == 0, args
     got = {name: _tree_digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
+
+
+PERMUTED = dataclasses.replace(
+    ChainSpec(), joint_axes=("x", "z", "y", "z", "x", "y", "z"), touch_radius=0.01
+)
+
+# name -> (chain, seed, attempts, sha256 of the 25 accepted rows' bytes)
+SAMPLER_GOLDEN = {
+    "default-seed0": (
+        ChainSpec(), 0, 339840,
+        "fedce5c07c12d861b59a145af71a4f8990a7c33b99bfc1ee63f1c33e771785b1",
+    ),
+    "default-seed1": (
+        ChainSpec(), 1, 337620,
+        "6e16568783c12bc4da529cd238596812746bb465488a054873f045069d2a7b3f",
+    ),
+    "permuted-axes-r0.01": (
+        PERMUTED, 0, 265898,
+        "3247aac46fbadddac584096bc3bc81ffb781a81362d870c7b968f04e597ec7a0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "chain, seed, attempts, digest", SAMPLER_GOLDEN.values(), ids=SAMPLER_GOLDEN.keys()
+)
+def test_golden_sampler_rows(chain, seed, attempts, digest):
+    res = synthesize_self_touch(chain, 25, seed)
+    assert res.attempts == attempts
+    assert hashlib.sha256(res.data.tobytes()).hexdigest() == digest
