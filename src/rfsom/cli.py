@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass
 
 import numpy as np
 
@@ -51,18 +51,16 @@ from .mrf import (
     ReceptiveFieldMask,
     _check_mask,
     default_quadrant_mask,
-    full_mask,
     load_mask,
     masked_quantization_error,
     masked_topographic_error,
     mrf_train,
 )
-from .som import Codebook, TrainSchedule, init_codebook, quantization_error, topographic_error, train
+from .som import Codebook, TrainSchedule, _as_masked, init_codebook, train
 
 MODES = ("som", "mrf")
 
 DEFAULT_MASK = "default"
-SYNTH_PREFIX = "synthesize:"
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0.0 < self.combination_threshold <= 1.0:
+            raise ValueError(
+                f"combination_threshold must be in (0, 1], got {self.combination_threshold}"
+            )
 
 
 def _parse_float(text: str) -> float:
@@ -174,7 +176,7 @@ FIELDS = (
     Field("mode", *_STR, _TRAIN, "map variant to train: som (unrestricted) or mrf (masked)"),
     Field("seed", *_INT, _ALL, "run seed; drives sampling, weight init, and shuffling"),
     Field("out", *_STR, _ALL, "output directory (created if missing)"),
-    Field("dataset", *_STR, _TRAIN, "dataset CSV path, or synthesize:<n> to sample in-memory"),
+    Field("dataset", *_STR, _TRAIN, "dataset CSV path"),
     Field("mask", *_STR, _TRAIN, f"receptive-field mask file, or '{DEFAULT_MASK}' for the "
           "built-in 4x4 quadrant mask over the 7 joints"),
     Field("n", *_INT, _GEN, "number of samples to generate"),
@@ -414,16 +416,6 @@ def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
     return load_mask(cfg.mask)
 
 
-def _load_dataset(cfg: RunConfig) -> np.ndarray:
-    source = cfg.dataset
-    if not source:
-        raise ValueError("no dataset configured (path or synthesize:<n>)")
-    if source.startswith(SYNTH_PREFIX):
-        n = int(source[len(SYNTH_PREFIX) :])
-        return synthesize_self_touch(cfg.chain, n, cfg.seed, cfg.max_attempts).data
-    return load_csv(source)
-
-
 def _ensure_out(cfg: RunConfig) -> str:
     if not cfg.out:
         raise ValueError("no output directory configured (out=<dir>)")
@@ -459,7 +451,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.lattice.n_neurons < 2:
         grid = f"{cfg.lattice.rows}x{cfg.lattice.cols}"
         raise ValueError(f"training needs at least 2 neurons, got a {grid} lattice")
-    raw = _load_dataset(cfg)
+    if not cfg.dataset:
+        raise ValueError("no dataset configured (dataset=<csv path>)")
+    raw = load_csv(cfg.dataset)
     if raw.shape[0] < 2:
         raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
     dims = raw.shape[1]
@@ -497,38 +491,34 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _model_metrics(model: Model, data: np.ndarray) -> tuple[float, float]:
-    codebook = model.codebook
-    if model.mode == "mrf":
-        qe = masked_quantization_error(codebook, data, model.mask, model.mrf_config)
-        te = masked_topographic_error(codebook, data, model.mask, model.mrf_config)
-    else:
-        qe = quantization_error(codebook, data)
-        te = topographic_error(codebook, data)
-    return qe, te
+def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
+    """The model as a masked map; a som model is the all-true field."""
+    if model.mask is None:
+        return _as_masked(model.codebook)
+    return model.mask, model.mrf_config
 
 
-def _has_body_groups(mask: ReceptiveFieldMask | None) -> bool:
+def _has_body_groups(mask: ReceptiveFieldMask) -> bool:
     """Whether the cluster separation ratio is defined: every body group
     labels some neuron."""
-    return mask is not None and mask.groups is not None and all(
-        g in mask.group_order() for g in BODY_GROUPS
-    )
+    return mask.groups is not None and all(g in mask.group_order() for g in BODY_GROUPS)
 
 
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
-    raw = _load_dataset(replace(cfg, dataset=dataset_path))
+    raw = load_csv(dataset_path)
     if raw.shape[1] != model.codebook.dims:
         raise ValueError(
             f"dataset has {raw.shape[1]} columns, model expects {model.codebook.dims}"
         )
     data = apply_normalization(raw, model.normalization)
-    qe, te = _model_metrics(model, data)
+    mask, mrf_config = _masked_map(model)
+    qe = masked_quantization_error(model.codebook, data, mask, mrf_config)
+    te = masked_topographic_error(model.codebook, data, mask, mrf_config)
     ratio = None
-    if _has_body_groups(model.mask):
-        report = build_encoding_report(model.codebook, model.mask, model.config.combination_threshold)
+    if _has_body_groups(mask):
+        report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
         ratio = cluster_separation_ratio(report)
     out = _ensure_out(cfg)
     metrics = {
@@ -548,10 +538,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
 def cmd_export(cfg: RunConfig, model_path: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     model = load_model(model_path)
-    mask = model.mask
-    if mask is None:
-        # unrestricted map: analysis runs over an all-true field, no groups
-        mask = full_mask(model.codebook.lattice, model.codebook.dims)
+    mask, _ = _masked_map(model)
     heatmaps = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
     report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)

@@ -24,7 +24,7 @@ from rfsom.cli import (
     run_config_items,
     save_model,
 )
-from rfsom.datagen import joint_names, load_csv
+from rfsom.datagen import joint_names, load_csv, save_csv
 from rfsom.fileio import ParseError
 from rfsom.lattice import LatticeSpec
 from rfsom.mrf import MrfConfig, ReceptiveFieldMask, default_quadrant_mask, save_mask
@@ -113,6 +113,9 @@ def test_build_run_config_rejects_bad_input():
         build_run_config({"mode": "both"})
     with pytest.raises(ValueError, match="invalid configuration"):
         build_run_config({"chain.touch_radius": "-1"})
+    for threshold in ("0", "2", "-1"):
+        with pytest.raises(ValueError, match=r"combination_threshold must be in \(0, 1\]"):
+            build_run_config({"combination_threshold": threshold})
 
 
 def test_config_file_plus_flag_precedence(tmp_path):
@@ -326,20 +329,18 @@ def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
     assert a.tobytes() == b.tobytes()
 
 
-def test_train_config_errors_exit4_without_output(tmp_path):
+def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     out = tmp_path / "nope"
     assert run_cli(*train_args(out, tmp_path / "missing.csv")) == 4
     assert not out.exists()
-    code = run_cli(
-        "train",
-        "--dataset",
-        "synthesize:1",
-        "--set",
-        "chain.touch_radius=0.5",
-        "--out",
-        str(out),
-    )
-    assert code == 4  # one sample cannot be normalized
+    one_row = tmp_path / "one_row.csv"
+    save_csv(np.zeros((1, 7)), one_row)
+    assert run_cli(*train_args(out, one_row)) == 4  # one sample cannot be normalized
+    assert "at least 2 samples" in capsys.readouterr().err
+    # rejected while the config is read, before the (here missing) dataset is opened
+    threshold = ("--combination-threshold", "2")
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=threshold)) == 4
+    assert "combination_threshold must be in (0, 1], got 2.0" in capsys.readouterr().err
     bad_mask = tmp_path / "bad.mask"
     assert (
         run_cli(
@@ -553,6 +554,10 @@ BAD_MODELS = {
         _set("run_config", "combination_threshold", "x"), "invalid configuration"
     ),
     "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
+    "threshold-out-of-range": (
+        _set("run_config", "combination_threshold", "2"),
+        "invalid configuration: combination_threshold must be in (0, 1], got 2.0",
+    ),
     "mrf-without-mask": (lambda doc: doc.update(mask=None), "mode 'mrf' needs a mask"),
     "som-with-mask": (
         _set("run_config", "mode", "som"), "mode 'som' needs \"mask\": null"
