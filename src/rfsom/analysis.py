@@ -9,7 +9,7 @@ smoothing or rescaling happens anywhere except in the 8-bit PGM rendering.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,7 +112,8 @@ def build_encoding_report(
             f"combination_threshold must be in (0, 1], got {combination_threshold}"
         )
     names = joint_names(codebook.dims)
-    labels = mask.groups if mask.groups is not None else ("ungrouped",) * mask.n_neurons
+    if mask.groups is None:
+        mask = replace(mask, groups=("ungrouped",) * mask.n_neurons)
     neurons = []
     for i in range(mask.n_neurons):
         active = np.flatnonzero(mask.mask[i])
@@ -127,19 +128,15 @@ def build_encoding_report(
         neurons.append(
             NeuronEncoding(
                 index=i,
-                group=home_group(labels[i]),
+                group=home_group(mask.groups[i]),
                 active_joints=tuple(names[j] for j in active),
                 weights=tuple(float(v) for v in w),
                 argmax_joint=names[int(active[top])],
                 classification=kind,
             )
         )
-    if mask.groups is not None:
-        order = mask.group_order()
-        indices = mask.group_indices()
-    else:
-        order = ("ungrouped",)
-        indices = {"ungrouped": np.arange(mask.n_neurons)}
+    order = mask.group_order()
+    indices = mask.group_indices()
     U = _union_distances(codebook.weights, mask.mask)
     k = len(order)
     dist = np.zeros((k, k), dtype=np.float64)
@@ -198,10 +195,12 @@ def heatmap_pgm_bytes(grid: np.ndarray, connected: np.ndarray) -> tuple[bytes, b
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     pixels = np.zeros((rows, cols), dtype=np.uint8)
     if connected.any():
-        vals = grid[connected]
-        vmin, vmax = float(vals.min()), float(vals.max())
-        if vmax > vmin:
-            scaled = np.rint((grid[connected] - vmin) / (vmax - vmin) * 255.0)
+        # halved, so a span wider than the float range cannot overflow;
+        # halving is exact for normal floats, so other bytes do not change
+        half = grid[connected] / 2
+        lo, hi = float(half.min()), float(half.max())
+        if hi > lo:
+            scaled = np.rint((half - lo) / (hi - lo) * 255.0)
             pixels[connected] = np.clip(scaled, 0, 255).astype(np.uint8)
         else:
             pixels[connected] = 255

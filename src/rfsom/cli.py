@@ -180,7 +180,8 @@ FIELDS = (
     Field("mask", *_STR, _TRAIN, f"receptive-field mask file, or '{DEFAULT_MASK}' for the "
           "built-in 4x4 quadrant mask over the 7 joints"),
     Field("n", *_INT, _GEN, "number of samples to generate"),
-    Field("max_attempts", *_ATTEMPTS, _GEN, "cap on sampling attempts ('auto' = 20000 per row)"),
+    Field("max_attempts", *_ATTEMPTS, _GEN,
+          "cap on sampling attempts ('auto' = max(100000, 20000*n))"),
     Field("combination_threshold", *_FLOAT, _TRAIN,
           "relative |weight| cutoff for combination coding"),
     Field("lattice.rows", *_INT, _TRAIN, "lattice rows"),
@@ -232,7 +233,11 @@ def build_run_config(flat: dict[str, str]) -> RunConfig:
             node = tree
             for step in parents:
                 node = node.setdefault(step, {})
-            node[leaf] = field.parse(merged[field.key])
+            text = merged[field.key]
+            try:
+                node[leaf] = field.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{field.key}={text!r}: {exc}") from None
         # the schedule shuffles with the run seed
         tree["schedule"]["seed"] = tree["seed"]
         return _assemble(RunConfig(), tree)

@@ -197,7 +197,8 @@ def synthesize_self_touch(
     hand lands within ``touch_radius`` of the face target.
 
     Deterministic for fixed (chain, n, seed); ``max_attempts`` only bounds the
-    search (default 20000 per requested row) and never changes accepted rows.
+    search (default ``max(100000, 20000 * n)`` draws) and never changes
+    accepted rows.
     ``attempts`` counts draws up to and including the n-th acceptance.
     """
     if n < 1:
@@ -212,23 +213,16 @@ def synthesize_self_touch(
     kept: list[np.ndarray] = []
     accepted = 0
     drawn = 0
-    while True:
+    while drawn < max_attempts:
         draw = rng.uniform(lo, hi, size=(_BATCH, len(JOINT_NAMES)))
         hits = _touch_hits(draw, chain)
-        if accepted + hits.size >= n:
-            need = n - accepted
-            last = hits[need - 1]
-            attempts = drawn + int(last) + 1
-            if attempts > max_attempts:
-                break
-            kept.append(draw[hits[:need]])
-            data = np.concatenate(kept, axis=0)
-            return SynthesisResult(data, attempts, n / attempts)
+        hits = hits[hits < max_attempts - drawn][: n - accepted]
         kept.append(draw[hits])
         accepted += hits.size
+        if accepted == n:
+            attempts = drawn + int(hits[-1]) + 1
+            return SynthesisResult(np.concatenate(kept, axis=0), attempts, n / attempts)
         drawn += _BATCH
-        if drawn >= max_attempts:
-            break
     raise SamplingError(
         f"accepted only {accepted} of {n} samples within {max_attempts} attempts; "
         "increase touch_radius or max_attempts"

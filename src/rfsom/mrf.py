@@ -260,8 +260,6 @@ def mrf_find_bmu(
     d = _distances(x - codebook.weights, mask.mask, _norms(mask, cfg))
     if cfg.bmu_scope == "global-masked":
         return int(np.argmin(d))
-    if mask.groups is None:
-        raise ValueError("per-group winner selection needs group labels on the mask")
     return {g: int(idx[np.argmin(d[idx])]) for g, idx in mask.group_indices().items()}
 
 
@@ -382,21 +380,20 @@ def load_mask(path) -> ReceptiveFieldMask:
     n = rows * cols
     if len(raw) - 1 < n:
         raise ParseError(f"{path}: expected {n} mask rows, file ends after line {len(raw)}")
-    mask = np.zeros((n, dims), dtype=bool)
-    for i in range(n):
-        lineno = i + 2
-        tokens = raw[1 + i].split(" ")
+    # every row is checked before the mask is built, so a header claiming a
+    # huge dims fails on its first short row instead of allocating
+    cells = [line.split(" ") for line in raw[1 : 1 + n]]
+    for lineno, tokens in enumerate(cells, start=2):
         if len(tokens) != dims:
             raise ParseError(
                 f"{path}: line {lineno}: expected {dims} entries, got {len(tokens)}"
             )
         for j, tok in enumerate(tokens):
-            if tok == "1":
-                mask[i, j] = True
-            elif tok != "0":
+            if tok not in ("0", "1"):
                 raise ParseError(
                     f"{path}: line {lineno}: entry {j + 1} must be 0 or 1, got {tok!r}"
                 )
+    mask = np.array(cells) == "1"
     groups: tuple[str, ...] | None = None
     rest = raw[1 + n :]
     if rest:

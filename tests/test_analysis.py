@@ -3,6 +3,7 @@ and their export formats."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,17 @@ def test_heatmap_pgm_constant_grid():
     image, _ = heatmap_pgm_bytes(grid, np.ones((2, 2), dtype=bool))
     pixels = np.frombuffer(image[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
     assert (pixels == 255).all()
+
+
+def test_heatmap_pgm_span_beyond_float_range():
+    """Weights at +-1e308 span more than the float range; the scaling still
+    stays finite and raises no warning."""
+    grid = np.array([[1e308, -1e308], [0.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        image, _ = heatmap_pgm_bytes(grid, np.ones((2, 2), dtype=bool))
+    pixels = np.frombuffer(image[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
+    np.testing.assert_array_equal(pixels, [255, 0, 128, 128])
 
 
 def test_report_json_key_order_and_serializable():

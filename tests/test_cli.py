@@ -107,8 +107,12 @@ def test_build_run_config_defaults_and_round_trip():
 def test_build_run_config_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown config key"):
         build_run_config({"latice.rows": "4"})
-    with pytest.raises(ValueError, match="invalid configuration"):
+    with pytest.raises(ValueError, match="invalid configuration: schedule.epochs='three': "):
         build_run_config({"schedule.epochs": "three"})
+    with pytest.raises(ValueError, match="invalid configuration: n='abc': "):
+        build_run_config({"n": "abc"})
+    with pytest.raises(ValueError, match="invalid configuration: chain.upper_arm='x': "):
+        build_run_config({"chain.upper_arm": "x"})
     with pytest.raises(ValueError, match="invalid configuration"):
         build_run_config({"mode": "both"})
     with pytest.raises(ValueError, match="invalid configuration"):
@@ -348,6 +352,14 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
         )
         == 4
     )
+    assert not out.exists()
+    # a header claiming 1e11 dims is rejected on its short row, not allocated
+    bad_mask.write_text("1 1 100000000000\n1\n")
+    two_rows = tmp_path / "two_rows.csv"
+    save_csv(np.arange(14.0).reshape(2, 7), two_rows)
+    capsys.readouterr()
+    assert run_cli(*train_args(out, two_rows, extra=("--mask", str(bad_mask)))) == 4
+    assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
     assert not out.exists()
 
 

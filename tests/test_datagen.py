@@ -171,10 +171,44 @@ def test_synthesize_rows_satisfy_touch_predicate():
         assert np.linalg.norm(hand - target) < chain.touch_radius
 
 
+def touching_draws(chain, seed, max_attempts):
+    """Touching draws among the first ``max_attempts`` draws of the sampler's
+    RNG stream (65536-row batches), counted with the row reference."""
+    rng = np.random.default_rng(seed)
+    batches = -(-max_attempts // 65536)
+    draw = np.concatenate(
+        [rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+         for _ in range(batches)]
+    )[:max_attempts]
+    return int((touch_gaps_rows(draw, chain) < chain.touch_radius).sum())
+
+
 def test_synthesize_exhaustion_raises_sampling_error():
-    chain = dataclasses.replace(ChainSpec(), touch_radius=1e-9)
-    with pytest.raises(SamplingError, match="touch_radius"):
-        synthesize_self_touch(chain, 5, seed=0, max_attempts=200_000)
+    """The error reports the touching draws that fell within the budget."""
+    cases = [(1e-9, 5, 200_000), (0.05, 100, 100_000), (0.05, 200, 140_000), (0.05, 100, 70_000)]
+    for radius, n, max_attempts in cases:
+        chain = dataclasses.replace(ChainSpec(), touch_radius=radius)
+        want = touching_draws(chain, 0, max_attempts)
+        assert want < n
+        with pytest.raises(
+            SamplingError,
+            match=f"accepted only {want} of {n} samples within {max_attempts} attempts; "
+            "increase touch_radius",
+        ):
+            synthesize_self_touch(chain, n, seed=0, max_attempts=max_attempts)
+
+
+def test_synthesize_budget_boundary_is_the_nth_touch():
+    """A budget of exactly ``attempts`` draws succeeds with the same rows; one
+    draw fewer fails with n - 1 accepted."""
+    chain = easy_chain(0.05)
+    full = synthesize_self_touch(chain, 100, seed=0)
+    exact = synthesize_self_touch(chain, 100, seed=0, max_attempts=full.attempts)
+    assert exact.data.tobytes() == full.data.tobytes()
+    assert exact.attempts == full.attempts
+    short = full.attempts - 1
+    with pytest.raises(SamplingError, match=f"accepted only 99 of 100 samples within {short} "):
+        synthesize_self_touch(chain, 100, seed=0, max_attempts=short)
 
 
 def test_synthesize_rejects_bad_arguments():

@@ -387,6 +387,10 @@ def test_load_mask_parse_errors_name_lines(tmp_path):
     path.write_text("1 2 2\n1 0\n0 1\n#group a\n")
     with pytest.raises(ParseError, match="#group"):
         load_mask(path)
+    # a huge dims fails on the short row, before any mask is allocated
+    path.write_text("1 1 100000000000\n1\n")
+    with pytest.raises(ParseError, match="line 2: expected 100000000000 entries, got 1"):
+        load_mask(path)
 
 
 def test_load_mask_invariant_violation_is_config_error(tmp_path):
