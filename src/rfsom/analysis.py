@@ -9,7 +9,7 @@ smoothing or rescaling happens anywhere except in the 8-bit PGM rendering.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -146,12 +146,17 @@ def build_encoding_report(
     return EncodingReport(neurons, order, dist)
 
 
+# exported as ``cluster_separation_reference`` beside the measured ratio
+CLUSTER_SEPARATION_REFERENCE = 0.5
+
+
 def cluster_separation_ratio(report: EncodingReport) -> float:
     """Shoulder-to-elbow cluster distance over the mean of the four distances
     from those clusters to head and wrist.
 
-    A descriptive statistic: values near 0.5 would mean the shoulder and
-    elbow clusters sit at half the distance of the others.
+    A descriptive statistic: values near ``CLUSTER_SEPARATION_REFERENCE``
+    (0.5) would mean the shoulder and elbow clusters sit at half the
+    distance of the others.
     """
     order = report.group_order
     for g in BODY_GROUPS:
@@ -212,18 +217,8 @@ def report_json_dict(report: EncodingReport, dmap: NeuronDistanceMap) -> dict:
     """Single JSON-ready document combining the encoding report and the
     neuron distance map (fixed key order for byte-stable export)."""
     return {
-        "group_order": list(report.group_order),
-        "group_distances": [list(row) for row in report.group_distances.tolist()],
-        "neurons": [
-            {
-                "index": n.index,
-                "group": n.group,
-                "active_joints": list(n.active_joints),
-                "weights": list(n.weights),
-                "argmax_joint": n.argmax_joint,
-                "classification": n.classification,
-            }
-            for n in report.neurons
-        ],
-        "distance_map": [list(row) for row in dmap.grid.tolist()],
+        "group_order": report.group_order,
+        "group_distances": report.group_distances.tolist(),
+        "neurons": [asdict(n) for n in report.neurons],
+        "distance_map": dmap.grid.tolist(),
     }

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclas
 import numpy as np
 
 from .analysis import (
+    CLUSTER_SEPARATION_REFERENCE,
     build_distance_map,
     build_encoding_report,
     build_heatmaps,
@@ -314,14 +315,14 @@ def save_model(model: Model, path) -> None:
         "format": "rfsom-model",
         "version": 2,
         "normalization": {
-            "mean": [float(v) for v in model.normalization.mean],
-            "std": [float(v) for v in model.normalization.std],
+            "mean": model.normalization.mean.tolist(),
+            "std": model.normalization.std.tolist(),
         },
         "mask": None if mask is None else {
-            "mask": [[int(v) for v in row] for row in mask.mask],
-            "groups": None if mask.groups is None else list(mask.groups),
+            "mask": mask.mask.astype(int).tolist(),
+            "groups": mask.groups,
         },
-        "codebook": [[float(v) for v in row] for row in model.codebook.weights],
+        "codebook": model.codebook.weights.tolist(),
         # the resolved config, not the ``run_config`` dict a caller can mutate
         "run_config": run_config_items(model.config),
     }
@@ -458,11 +459,11 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ValueError(f"training needs at least 2 neurons, got a {grid} lattice")
     if not cfg.dataset:
         raise ValueError("no dataset configured (dataset=<csv path>)")
+    mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     raw = load_csv(cfg.dataset)
     if raw.shape[0] < 2:
         raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
     dims = raw.shape[1]
-    mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     normalization = fit_normalization(raw)
     data = apply_normalization(raw, normalization)
     codebook = init_codebook(cfg.lattice, dims, cfg.seed)
@@ -533,7 +534,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
         "quantization_error": qe,
         "topographic_error": te,
         "cluster_separation_ratio": ratio,
-        "cluster_separation_reference": 0.5,
+        "cluster_separation_reference": CLUSTER_SEPARATION_REFERENCE,
     }
     atomic_write_text(os.path.join(out, "metrics.json"), dump_json(metrics))
     print(f"quantization_error {qe:.6g}, topographic_error {te:.6g} -> {out}/metrics.json")
@@ -561,7 +562,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     doc = {"format": "rfsom-report", "version": 1}
     doc.update(report_json_dict(report, dmap))
     doc["cluster_separation_ratio"] = ratio
-    doc["cluster_separation_reference"] = 0.5
+    doc["cluster_separation_reference"] = CLUSTER_SEPARATION_REFERENCE
     atomic_write_text(os.path.join(out, "report.json"), dump_json(doc))
     print(f"exported {len(heatmaps.joints)} heatmap sets and report.json -> {out}")
     return 0

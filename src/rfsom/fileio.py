@@ -8,6 +8,7 @@ and writes go through a temp file + atomic rename.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -69,38 +70,15 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _json_scalar(value) -> str:
-    # bool is an int subclass; test it first
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            # strict JSON has no NaN/Inf literal
-            return "null"
-        return format_float(value)
-    if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ch == "\r":
-                out.append("\\r")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        # strict JSON has no NaN/Inf literal
+        return format_float(value) if math.isfinite(value) else "null"
+    if _is_scalar(value):
+        return _encode(value)
     raise TypeError(f"value of type {type(value).__name__} is not JSON-serializable")
 
 
@@ -108,45 +86,28 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _dump(value, indent: int, out: list[str]) -> None:
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {key!r}")
+    return _encode(key)
+
+
+def _dump(value, indent: int) -> str:
+    if not isinstance(value, (dict, list, tuple)):
+        return _json_scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     pad = "  " * indent
-    if _is_scalar(value):
-        out.append(_json_scalar(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}  {_json_scalar(key)}: ")
-            _dump(val, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        if all(_is_scalar(v) for v in seq):
-            # keep numeric rows on one line for readable diffs
-            out.append("[" + ", ".join(_json_scalar(v) for v in seq) + "]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _dump(val, indent + 1, out)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"value of type {type(value).__name__} is not JSON-serializable")
+    if isinstance(value, dict):
+        items = [f"{pad}  {_json_key(k)}: {_dump(v, indent + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if all(_is_scalar(v) for v in value):
+        # keep numeric rows on one line for readable diffs
+        return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
+    items = [f"{pad}  {_dump(v, indent + 1)}" for v in value]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def dump_json(value) -> str:
     """Serialize to JSON with stable key order, .17g floats, and NaN as null."""
-    out: list[str] = []
-    _dump(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _dump(value, 0) + "\n"

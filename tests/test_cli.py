@@ -360,6 +360,9 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(*train_args(out, two_rows, extra=("--mask", str(bad_mask)))) == 4
     assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
+    # the mask is read before the dataset, so a one-row dataset does not hide it
+    assert run_cli(*train_args(out, one_row, extra=("--mask", str(bad_mask)))) == 4
+    assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -502,11 +505,30 @@ def test_export_unwritable_output_exit5(workspace, tmp_path):
 
 # ------------------------------------------------------------- model file
 
-def test_model_round_trip_bytes(workspace, tmp_path):
+def _unlabelled_mask(root):
+    quadrant = default_quadrant_mask()
+    save_mask(ReceptiveFieldMask(4, 4, quadrant.mask), root / "unlabelled.mask")
+    return ("--mask", str(root / "unlabelled.mask"))
+
+
+# model -> (train options, or None for the workspace model; the JSON null it must hold)
+ROUND_TRIP_MODELS = {
+    "mrf": (None, None),
+    "som": (lambda root: ("--mode", "som"), lambda doc: doc["mask"]),
+    "unlabelled-mask": (_unlabelled_mask, lambda doc: doc["mask"]["groups"]),
+}
+
+
+@pytest.mark.parametrize("extra, null", ROUND_TRIP_MODELS.values(), ids=ROUND_TRIP_MODELS.keys())
+def test_model_round_trip_bytes(workspace, tmp_path, extra, null):
     path = workspace / "run" / "model.json"
-    model = load_model(path)
+    if extra is not None:
+        dataset = workspace / "gen" / "dataset.csv"
+        assert run_cli(*train_args(tmp_path / "run", dataset, epochs=2, extra=extra(tmp_path))) == 0
+        path = tmp_path / "run" / "model.json"
+        assert null(json.loads(path.read_text())) is None
     copy = tmp_path / "copy.json"
-    save_model(model, copy)
+    save_model(load_model(path), copy)
     assert copy.read_bytes() == path.read_bytes()
 
 

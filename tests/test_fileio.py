@@ -102,6 +102,10 @@ def test_dump_json_floats_round_trip():
 def test_dump_json_escapes_strings():
     tricky = 'quote " backslash \\ newline \n tab \t control \x01'
     assert json.loads(dump_json({"s": tricky}))["s"] == tricky
+    # every control character, in values and keys, as the standard library writes it
+    s = "".join(map(chr, range(0x20))) + '"\\'
+    assert dump_json([s]) == "[" + json.dumps(s, ensure_ascii=False) + "]\n"
+    assert dump_json({s: 1}) == "{\n  " + json.dumps(s, ensure_ascii=False) + ": 1\n}\n"
 
 
 def test_dump_json_bools_are_not_ints():
@@ -113,6 +117,59 @@ def test_dump_json_rejects_unserializable():
         dump_json({"x": object()})
     with pytest.raises(TypeError):
         dump_json({1: "non-string key"})
+
+
+def test_dump_json_layout_pinned():
+    # the exact text, empty containers and all, at every depth
+    doc = {
+        "name": "r\u00e9sum\u00e9 \u2028",
+        "empty_obj": {},
+        "empty_list": [],
+        "scalars": [1, -0.0, math.nan, math.inf, True, None, "x"],
+        "pair": (0.1, 2),
+        "rows": [{"a": [], "b": {}}, {"c": {"d": [{"e": (1, 2)}, []]}}],
+        "nested": {"list": [{"k": {}}, [[], {}], ((3.5,), ())]},
+    }
+    assert dump_json(doc) == (
+        "{\n"
+        '  "name": "r\u00e9sum\u00e9 \u2028",\n'
+        '  "empty_obj": {},\n'
+        '  "empty_list": [],\n'
+        '  "scalars": [1, -0, null, null, true, null, "x"],\n'
+        '  "pair": [0.10000000000000001, 2],\n'
+        '  "rows": [\n'
+        "    {\n"
+        '      "a": [],\n'
+        '      "b": {}\n'
+        "    },\n"
+        "    {\n"
+        '      "c": {\n'
+        '        "d": [\n'
+        "          {\n"
+        '            "e": [1, 2]\n'
+        "          },\n"
+        "          []\n"
+        "        ]\n"
+        "      }\n"
+        "    }\n"
+        "  ],\n"
+        '  "nested": {\n'
+        '    "list": [\n'
+        "      {\n"
+        '        "k": {}\n'
+        "      },\n"
+        "      [\n"
+        "        [],\n"
+        "        {}\n"
+        "      ],\n"
+        "      [\n"
+        "        [3.5],\n"
+        "        []\n"
+        "      ]\n"
+        "    ]\n"
+        "  }\n"
+        "}\n"
+    )
 
 
 def test_dump_json_deterministic():
