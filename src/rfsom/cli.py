@@ -423,8 +423,6 @@ def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
 
 
 def _ensure_out(cfg: RunConfig) -> str:
-    if not cfg.out:
-        raise ValueError("no output directory configured (out=<dir>)")
     os.makedirs(cfg.out, exist_ok=True)
     return cfg.out
 
@@ -635,6 +633,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
+        if not cfg.out:
+            raise ValueError("no output directory configured (out=<dir>)")
         return args.func(cfg, *(getattr(args, option) for option in args.paths))
     except (SamplingError, ValueError, OSError) as exc:
         # ParseError is a ValueError: malformed and missing inputs exit 4

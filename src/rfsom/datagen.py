@@ -6,10 +6,13 @@ and kept when the hand lands within the touch radius of the face target.
 All geometry lives in ``ChainSpec`` and is an artifact default, not recorded
 robot data.
 
-The sampler runs the arm kinematics on a whole batch, one array per
-coordinate. The head kinematics and the exact touch test run only on the
-draws whose hand distance from the torso origin is within the touch radius
-of |face_target|, since no other draw can touch (``_touch_hits``).
+The sampler draws raw doubles and scales them in place, which gives the
+bytes ``Generator.uniform`` would. It runs the arm kinematics on a whole
+batch, one array per coordinate, and skips a wrist rotation about x, the
+forearm's own axis, since it cannot move the contact point. The head
+kinematics and the exact touch test run only on the draws whose hand
+distance from the torso origin is within the touch radius of
+|face_target|, since no other draw can touch (``_touch_hits``).
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class ChainSpec:
         for name, (lo, hi) in zip(JOINT_NAMES, self.joint_limits):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate limits for {name}: [{lo}, {hi}]")
+            # the sampler scales draws by hi - lo, which must be finite
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"limits for {name} span more than a float: [{lo}, {hi}]")
         if len(self.shoulder_offset) != 3 or len(self.face_target) != 3:
             raise ValueError("shoulder_offset and face_target must be 3-vectors")
         if self.upper_arm <= 0.0 or self.forearm_hand <= 0.0:
@@ -126,8 +132,10 @@ def _hand(angles: np.ndarray, chain: ChainSpec):
     z = np.zeros(b)
     # chain from torso: shoulder roll, shoulder pitch, upper arm, elbow yaw
     # (twist about the upper-arm axis), elbow roll (flexion), wrist, forearm;
-    # rotations apply innermost first
-    x, y, z = _rotate(ax[6], angles[:, 6], x, y, z)
+    # rotations apply innermost first; a wrist turn about x, the forearm's own
+    # axis, leaves (forearm_hand, 0, 0) in place and only flips signs of zeros
+    if ax[6] != "x":
+        x, y, z = _rotate(ax[6], angles[:, 6], x, y, z)
     x, y, z = _rotate(ax[4], angles[:, 4], x, y, z)
     x, y, z = _rotate(ax[5], angles[:, 5], x, y, z)
     x = x + chain.upper_arm
@@ -209,12 +217,15 @@ def synthesize_self_touch(
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     rng = np.random.default_rng(_check_seed(seed))
     lo = chain.lower_limits
-    hi = chain.upper_limits
+    span = chain.upper_limits - lo
     kept: list[np.ndarray] = []
     accepted = 0
     drawn = 0
     while drawn < max_attempts:
-        draw = rng.uniform(lo, hi, size=(_BATCH, len(JOINT_NAMES)))
+        # the bytes of rng.uniform(lo, hi, ...), which computes lo + span * U
+        draw = rng.random((_BATCH, len(JOINT_NAMES)))
+        draw *= span
+        draw += lo
         hits = _touch_hits(draw, chain)
         hits = hits[hits < max_attempts - drawn][: n - accepted]
         kept.append(draw[hits])

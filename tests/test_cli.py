@@ -281,6 +281,36 @@ def test_generate_sampling_failure_exit3_no_partial_file(tmp_path):
     assert not out.exists()  # nothing written on failure
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Sampling or training fails the test if reached."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled or trained before the config was checked")
+
+    monkeypatch.setattr("rfsom.cli.synthesize_self_touch", refuse)
+    monkeypatch.setattr("rfsom.cli.mrf_train", refuse)
+
+
+def test_generate_overflowing_limit_span_exit4_before_sampling(tmp_path, capsys, no_work):
+    out = tmp_path / "never"
+    code = run_cli("generate", "--set", "chain.limit.wrist=-1e308,1e308", "--out", str(out))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "error: invalid configuration: limits for wrist span more than a float: "
+        "[-1e+308, 1e+308]\n"
+    )
+    assert not out.exists()
+
+
+def test_missing_out_exit4_before_any_work(workspace, capsys, no_work):
+    dataset = str(workspace / "gen" / "dataset.csv")
+    for argv in (["generate", "--n", "5", *EASY], ["train", "--dataset", dataset]):
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err == "error: no output directory configured (out=<dir>)\n"
+
+
 # ------------------------------------------------------------- train
 
 def test_train_writes_model_and_log(workspace):

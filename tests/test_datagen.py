@@ -58,6 +58,11 @@ def test_chain_validation():
             + ((0.5, 0.5),)
             + ChainSpec().joint_limits[2:],
         )
+    # both ends are finite, but the sampler's scale hi - lo is not
+    with pytest.raises(ValueError, match="limits for wrist span more than a float"):
+        dataclasses.replace(
+            ChainSpec(), joint_limits=ChainSpec().joint_limits[:6] + ((-1e308, 1e308),)
+        )
     with pytest.raises(ValueError, match="limit pairs"):
         dataclasses.replace(ChainSpec(), joint_limits=((0.0, 1.0),) * 6)
     with pytest.raises(ValueError, match="positive"):
@@ -153,14 +158,25 @@ def test_synthesize_max_attempts_never_changes_rows():
 
 
 def test_synthesize_infinite_radius_accepts_everything():
-    chain = dataclasses.replace(ChainSpec(), touch_radius=math.inf)
-    res = synthesize_self_touch(chain, 500, seed=3)
-    assert res.acceptance_rate == 1.0
-    assert res.attempts == 500
-    # acceptance is vacuous, so the rows are the raw uniform stream
-    rng = np.random.default_rng(3)
-    raw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
-    assert res.data.tobytes() == raw[:500].tobytes()
+    """Acceptance is vacuous, so the rows are the raw draws: two batches of
+    doubles scaled in place must equal ``Generator.uniform`` byte for byte."""
+    default = ChainSpec()
+    narrow = tuple((lo, lo + 1e-6) for lo, _ in default.joint_limits)
+    chains = [
+        default,
+        dataclasses.replace(default, joint_axes=("x", "z", "y", "z", "x", "y", "z")),
+        dataclasses.replace(default, joint_limits=narrow),
+    ]
+    for chain in chains:
+        chain = dataclasses.replace(chain, touch_radius=math.inf)
+        for seed in range(4):
+            res = synthesize_self_touch(chain, 2 * 65536, seed=seed)
+            assert res.acceptance_rate == 1.0
+            assert res.attempts == 2 * 65536
+            rng = np.random.default_rng(seed)
+            raw = [rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+                   for _ in range(2)]
+            assert res.data.tobytes() == np.concatenate(raw).tobytes()
 
 
 def test_synthesize_rows_satisfy_touch_predicate():
@@ -226,6 +242,8 @@ HIT_CHAINS = {
         ChainSpec(), joint_axes=("x", "z", "y", "z", "x", "y", "z"), touch_radius=0.01
     ),
     "r-inf": easy_chain(math.inf),
+    # a wrist turn about y moves the contact point, so the sampler rotates it
+    "wrist-y": dataclasses.replace(ChainSpec(), joint_axes=("z", "y", "z", "y", "z", "x", "y")),
 }
 
 
