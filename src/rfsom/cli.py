@@ -63,6 +63,11 @@ MODES = ("som", "mrf")
 
 DEFAULT_MASK = "default"
 
+# Largest map a run may configure. Training and scoring hold an N x N lattice
+# table and n x N x dims distance buffers, so a mistyped lattice size would
+# otherwise fail as a MemoryError deep inside a command.
+MAX_NEURONS = 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,6 +92,11 @@ class RunConfig:
         if not 0.0 < self.combination_threshold <= 1.0:
             raise ValueError(
                 f"combination_threshold must be in (0, 1], got {self.combination_threshold}"
+            )
+        if self.lattice.n_neurons > MAX_NEURONS:
+            raise ValueError(
+                f"lattice.rows x lattice.cols = {self.lattice.rows}x{self.lattice.cols} is "
+                f"{self.lattice.n_neurons} neurons, more than the limit of {MAX_NEURONS}"
             )
 
 

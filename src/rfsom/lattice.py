@@ -69,7 +69,7 @@ def neighborhood_weight(d, sigma: float):
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     d = np.asarray(d)
-    w = np.exp(-(d * d) / (2.0 * sigma * sigma))
+    w = np.exp(d * d / (-2.0 * sigma * sigma))
     return float(w) if w.ndim == 0 else w
 
 

@@ -208,13 +208,19 @@ def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     return None
 
 
-def _distances(diff: np.ndarray, M: np.ndarray, norms, out=None) -> np.ndarray:
+def _distances(
+    diff: np.ndarray, M: np.ndarray | None, norms, out=None, dist=None
+) -> np.ndarray:
     """Masked distances from sample-minus-weight differences of shape
-    (..., neurons, dims); the last output axis runs over neurons. ``out``, a
-    buffer shaped like ``diff``, receives the masked squares if given."""
+    (..., neurons, dims); the last output axis runs over neurons. ``M`` is
+    the mask, or None when ``diff`` is already zero outside the fields. If
+    given, ``out`` (shaped like ``diff``) receives the masked squares and
+    ``dist`` the distances."""
     sq = np.square(diff, out=out)
-    sq *= M
-    d = np.sqrt(np.add.reduce(sq, axis=-1))
+    if M is not None:
+        sq *= M
+    d = np.add.reduce(sq, axis=-1, out=dist)
+    np.sqrt(d, out=d)
     if norms is not None:
         d /= norms
     return d
@@ -263,6 +269,25 @@ def mrf_find_bmu(
     return {g: int(idx[np.argmin(d[idx])]) for g, idx in mask.group_indices().items()}
 
 
+def _layout(mask: ReceptiveFieldMask, cfg: MrfConfig, D: np.ndarray):
+    """Training layout of the neurons: group by group, each group ascending.
+
+    Returns the index that lays a neuron-indexed array out, the index that
+    undoes it, and one (slice of the layout, lattice block) pair per group.
+    Global scope is one group of every neuron in row-major order: both
+    indices are ``slice(None)`` and its block is the lattice table itself.
+    """
+    if cfg.bmu_scope == "global-masked":
+        return slice(None), slice(None), [(slice(None), D)]
+    groups = list(mask.group_indices().values())
+    stops = np.cumsum([len(idx) for idx in groups]).tolist()
+    blocks = [
+        (slice(stop - len(idx), stop), D[np.ix_(idx, idx)]) for idx, stop in zip(groups, stops)
+    ]
+    order = np.concatenate(groups)
+    return order, np.argsort(order), blocks
+
+
 def mrf_train(
     codebook: Codebook,
     dataset,
@@ -278,44 +303,57 @@ def mrf_train(
     only that group's neurons. Deterministic for a fixed schedule seed; the
     input codebook is not modified. The log gains one (quantization error,
     topographic error) pair per completed epoch.
+
+    The neurons train laid out group by group (each group ascending; global
+    scope is one group of all neurons), so every step searches and updates
+    contiguous slices. Inactive weights train as zeros against sample
+    entries that the mask zeroes, so no step needs the mask: their squares
+    are the +0.0 that masking gives, and their updates are zero. The layout
+    is undone for each epoch's metrics and at the end, where the inactive
+    weights get their initial bytes back (-0.0 included).
     """
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
-    W = codebook.weights.copy()
     D = distance_matrix(codebook.lattice)
-    Mb = mask.mask
-    Mf = Mb.astype(np.float64)
+    order, back, blocks = _layout(mask, cfg, D)
+    Mf = mask.mask[order].astype(np.float64)
+    W = codebook.weights[order] * Mf
     norms = _norms(mask, cfg)
-    per_group = cfg.bmu_scope == "per-group"
-    if per_group:
-        groups = mask.group_indices().values()
-        h = np.empty(codebook.n_neurons, dtype=np.float64)
+    if norms is not None:
+        norms = norms[order]
+    h = np.empty(codebook.n_neurons, dtype=np.float64)
+    h_col = h[:, None]
+    dist = np.empty_like(h)
+    views = [(dist[g], h[g], Dg) for g, Dg in blocks]
     step = np.empty_like(W)
     sq = np.empty_like(W)
     n = X.shape[0]
+    # every sample repeated once per neuron and masked: each step subtracts
+    # arrays of one shape, and the epoch's metrics reuse the buffer
+    tiles = np.empty((n,) + W.shape)
+    rows = list(tiles)
     total = schedule.epochs * n
     alphas = schedule.alpha_values(total)
     sigmas = schedule.sigma_values(total)
     log = TrainLog()
-    t = 0
     for epoch in range(schedule.epochs):
-        for i in shuffle_order(schedule.seed, epoch, n):
-            np.subtract(X[i], W, out=step)
-            d = _distances(step, Mf, norms, out=sq)
-            if per_group:
-                for idx in groups:
-                    b = idx[d[idx].argmin()]
-                    h[idx] = neighborhood_weight(D[b][idx], sigmas[t])
-            else:
-                h = neighborhood_weight(D[d.argmin()], sigmas[t])
-            step *= (alphas[t] * h)[:, None]
-            # a masked add leaves inactive positions untouched, bytes and all
-            # (W += 0.0 would flip the sign of -0.0 entries)
-            np.add(W, step, out=W, where=Mb)
-            t += 1
-        qe, te = _epoch_metrics(_distances(X[..., None, :] - W, Mf, norms), D)
+        t = slice(epoch * n, (epoch + 1) * n)
+        np.multiply(X[:, None, :], Mf, out=tiles)
+        samples = shuffle_order(schedule.seed, epoch, n).tolist()
+        for i, alpha, sigma in zip(samples, alphas[t].tolist(), sigmas[t].tolist()):
+            np.subtract(rows[i], W, out=step)
+            _distances(step, None, norms, out=sq, dist=dist)
+            for d_g, h_g, Dg in views:
+                np.multiply(neighborhood_weight(Dg[d_g.argmin()], sigma), alpha, out=h_g)
+            step *= h_col
+            W += step
+        np.subtract(tiles, W, out=tiles)
+        d = _distances(tiles, None, norms, out=tiles)
+        qe, te = _epoch_metrics(d[:, back], D)
         log.quantization_errors.append(qe)
         log.topographic_errors.append(te)
+    W = W[back]
+    np.copyto(W, codebook.weights, where=~mask.mask)
     return Codebook(W, codebook.lattice), log
 
 
@@ -324,7 +362,8 @@ def _dataset_distances(
 ) -> np.ndarray:
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
-    return _distances(X[..., None, :] - codebook.weights, mask.mask, _norms(mask, cfg))
+    diff = X[..., None, :] - codebook.weights
+    return _distances(diff, mask.mask, _norms(mask, cfg), out=diff)
 
 
 def masked_quantization_error(

@@ -2,11 +2,13 @@
 
 Every function here deliberately takes a different computational route from
 the production code (pure-Python scalar loops, homogeneous-matrix kinematics,
-geometric hex adjacency) so agreement is evidence, not tautology. The one
-exception is the sampler reference at the end: it keeps the batch layout the
-sampler had before its per-coordinate rewrite, with the same per-element
-operations, so the two must agree bit for bit. Do not import production
-helpers beyond plain data containers.
+geometric hex adjacency) so agreement is evidence, not tautology. The
+exceptions are the references that pin a rewrite bit for bit: the training
+reference keeps the per-sample loop the trainer had before its group-blocked
+layout, and the sampler reference at the end keeps the batch layout the
+sampler had before its per-coordinate rewrite, each with the same
+per-element operations. Do not import production helpers beyond plain data
+containers.
 """
 
 from __future__ import annotations
@@ -203,6 +205,68 @@ def group_distance_scan(weights, mask, groups_a, groups_b) -> float:
         for j in groups_b
     ]
     return sum(vals) / len(vals)
+
+
+# ---------------------------------------------------------------- training
+
+def mrf_train_reference(weights, X, mask, lattice_dist, alphas, sigmas, seed, epochs,
+                        rms: bool, groups=None):
+    """The masked map's former per-sample training loop, operation for
+    operation: neurons in row-major order, a per-group branch with fancy
+    indexing (``groups`` is a list of ascending index arrays, or None for
+    global scope) and a masked add that never writes an inactive weight.
+    Returns the weights and the per-epoch (QE, TE) lists; the trainer must
+    reproduce all three bit for bit."""
+
+    def distances(diff, M, norms, out=None):
+        sq = np.square(diff, out=out)
+        sq *= M
+        d = np.sqrt(np.add.reduce(sq, axis=-1))
+        if norms is not None:
+            d /= norms
+        return d
+
+    def kernel(d, sigma):
+        d = np.asarray(d)
+        return np.exp(-(d * d) / (2.0 * sigma * sigma))
+
+    def epoch_metrics(d, D):
+        qe = float(d.min(axis=1).mean())
+        if d.shape[1] < 2:
+            return qe, 0.0
+        order = np.argsort(d, axis=1, kind="stable")
+        return qe, float((D[order[:, 0], order[:, 1]] != 1).mean())
+
+    W = np.array(weights, dtype=np.float64)
+    D = lattice_dist
+    Mb = mask
+    Mf = Mb.astype(np.float64)
+    norms = np.sqrt(Mb.sum(axis=1).astype(np.float64)) if rms else None
+    per_group = groups is not None
+    if per_group:
+        h = np.empty(W.shape[0], dtype=np.float64)
+    step = np.empty_like(W)
+    sq = np.empty_like(W)
+    n = X.shape[0]
+    qes, tes = [], []
+    t = 0
+    for epoch in range(epochs):
+        for i in np.random.default_rng([seed, epoch]).permutation(n):
+            np.subtract(X[i], W, out=step)
+            d = distances(step, Mf, norms, out=sq)
+            if per_group:
+                for idx in groups:
+                    b = idx[d[idx].argmin()]
+                    h[idx] = kernel(D[b][idx], sigmas[t])
+            else:
+                h = kernel(D[d.argmin()], sigmas[t])
+            step *= (alphas[t] * h)[:, None]
+            np.add(W, step, out=W, where=Mb)
+            t += 1
+        qe, te = epoch_metrics(distances(X[..., None, :] - W, Mf, norms), D)
+        qes.append(qe)
+        tes.append(te)
+    return W, qes, tes
 
 
 # ---------------------------------------------------------------- kinematics

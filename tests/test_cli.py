@@ -13,6 +13,7 @@ import pytest
 
 from rfsom.cli import (
     FIELDS,
+    MAX_NEURONS,
     Model,
     RunConfig,
     _merge_config,
@@ -407,6 +408,21 @@ def test_train_single_neuron_lattice_exit4_before_loading(workspace, tmp_path, c
     assert not out.exists()
 
 
+def test_lattice_above_neuron_limit_exit4_before_any_work(workspace, tmp_path, capsys, no_work):
+    assert build_run_config({"lattice.rows": "1", "lattice.cols": str(MAX_NEURONS)})
+    message = (
+        f"invalid configuration: lattice.rows x lattice.cols = 1x{MAX_NEURONS + 1} is "
+        f"{MAX_NEURONS + 1} neurons, more than the limit of {MAX_NEURONS}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_run_config({"lattice.rows": "1", "lattice.cols": str(MAX_NEURONS + 1)})
+    out = tmp_path / "big"
+    lattice = ("--rows", "1", "--cols", str(MAX_NEURONS + 1))
+    assert run_cli(*train_args(out, workspace / "gen" / "dataset.csv", extra=lattice)) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_mask_grid_mismatch_exit4_without_output(workspace, tmp_path, capsys):
     quadrant = default_quadrant_mask()
     save_mask(ReceptiveFieldMask(2, 8, quadrant.mask, quadrant.groups), tmp_path / "2x8.mask")
@@ -618,6 +634,10 @@ BAD_MODELS = {
         _set("run_config", "combination_threshold", "x"), "invalid configuration"
     ),
     "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
+    "lattice-above-neuron-limit": (
+        _set("run_config", "lattice.rows", str(MAX_NEURONS + 1)),
+        f"run_config: invalid configuration: lattice.rows x lattice.cols = {MAX_NEURONS + 1}x4",
+    ),
     "threshold-out-of-range": (
         _set("run_config", "combination_threshold", "2"),
         "invalid configuration: combination_threshold must be in (0, 1], got 2.0",

@@ -132,6 +132,28 @@ def test_neighborhood_weight_vectorized():
     assert isinstance(neighborhood_weight(0, 1.0), float)
 
 
+_SIGMAS = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+_KERNEL_INPUTS = st.one_of(
+    st.integers(0, 10**4),
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=30).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    st.lists(st.floats(-1e100, 1e100, allow_nan=False), min_size=1, max_size=30).map(
+        np.array
+    ),
+)
+
+
+@given(_KERNEL_INPUTS, _SIGMAS)
+def test_neighborhood_weight_bits_equal_negated_numerator_form(d, sigma):
+    # negating the denominator instead of d*d is exact in IEEE arithmetic
+    old = np.exp(-(np.asarray(d) * np.asarray(d)) / (2.0 * sigma * sigma))
+    new = neighborhood_weight(d, sigma)
+    assert np.asarray(new).tobytes() == old.tobytes()
+    assert isinstance(new, float) == (old.ndim == 0)
+
+
 @pytest.mark.parametrize("metric", ["manhattan", "hex-axial"])
 def test_distance_matrix_agrees_with_pairwise(metric):
     spec = LatticeSpec(rows=3, cols=4, metric=metric)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rfsom.analysis import build_encoding_report
 from rfsom.fileio import ParseError
-from rfsom.lattice import LatticeSpec
+from rfsom.lattice import LatticeSpec, distance_matrix
 from rfsom.mrf import (
     BMU_SCOPES,
     BODY_GROUPS,
@@ -34,7 +34,7 @@ from rfsom.som import (
     train,
 )
 
-from oracles import masked_bmu_scan, masked_distance_scan
+from oracles import masked_bmu_scan, masked_distance_scan, mrf_train_reference
 
 
 def random_mask(rng, n, dims):
@@ -290,6 +290,62 @@ def test_mrf_train_confines_updates_to_active_dims(scope):
         out, _ = mrf_train(start, X, mask, TrainSchedule(epochs=5, seed=1), MrfConfig(scope))
         assert out.weights[inactive].tobytes() == start.weights[inactive].tobytes()
         assert not np.array_equal(out.weights[mask.mask], start.weights[mask.mask])
+
+
+def random_grouped_instance(rng, metric, n_groups):
+    """Random codebook and mask whose custom base groups differ in size and
+    interleave in row-major order (some labels are overlap labels of their
+    home group). Some neurons copy another's field and weights, so winner
+    searches meet ties; the inactive weights start as -0.0 half of the time."""
+    while True:
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        homes = rng.integers(n_groups, size=rows * cols)
+        if len(set(homes.tolist())) == n_groups:
+            break
+    dims = int(rng.integers(1, 8))
+    lattice = LatticeSpec(rows=rows, cols=cols, metric=metric)
+    labels = tuple(
+        f"overlap-g{h}-x" if rng.uniform() < 0.3 else f"g{h}" for h in homes.tolist()
+    )
+    fields = random_mask(rng, lattice.n_neurons, dims)
+    weights = rng.uniform(-2.0, 2.0, size=(lattice.n_neurons, dims))
+    for dst in np.flatnonzero(rng.uniform(size=lattice.n_neurons) < 0.3):
+        src = rng.integers(lattice.n_neurons)
+        fields[dst], weights[dst] = fields[src], weights[src]
+    if not fields.any(axis=0).all():
+        fields[0] = True
+    mask = ReceptiveFieldMask(rows, cols, fields, labels)
+    if rng.uniform() < 0.5:
+        weights = np.where(mask.mask, weights, -0.0)
+    return Codebook(weights, lattice), mask
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "hex-axial"])
+@pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
+@pytest.mark.parametrize("scope", BMU_SCOPES)
+def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope):
+    rng = np.random.default_rng(21)
+    cfg = MrfConfig(scope, normalization)
+    instances = [random_grouped_instance(rng, metric, k) for k in (1, 2, 3, 3, 4, 4)]
+    quadrant = default_quadrant_mask()
+    instances.append((init_codebook(LatticeSpec(metric=metric), 7, 5), quadrant))
+    for cb, mask in instances:
+        X = rng.normal(scale=1.5, size=(int(rng.integers(2, 40)), cb.dims))
+        sched = TrainSchedule(
+            epochs=int(rng.integers(1, 4)), seed=int(rng.integers(2**32)),
+            decay=("exponential", "linear")[int(rng.integers(2))],
+        )
+        total = sched.epochs * X.shape[0]
+        groups = list(mask.group_indices().values()) if scope == "per-group" else None
+        ref_w, ref_qe, ref_te = mrf_train_reference(
+            cb.weights, X, mask.mask, distance_matrix(cb.lattice), sched.alpha_values(total),
+            sched.sigma_values(total), sched.seed, sched.epochs,
+            normalization == "rms-per-active-dim", groups,
+        )
+        out, log = mrf_train(cb, X, mask, sched, cfg)
+        assert out.weights.tobytes() == ref_w.tobytes()
+        assert np.array(log.quantization_errors).tobytes() == np.array(ref_qe).tobytes()
+        assert np.array(log.topographic_errors).tobytes() == np.array(ref_te).tobytes()
 
 
 def test_mrf_train_per_group_confines_and_learns():
