@@ -23,7 +23,6 @@ from .mrf import (
     ReceptiveFieldMask,
     default_quadrant_mask,
     load_mask,
-    masked_distance,
     masked_quantization_error,
     masked_topographic_error,
     mrf_find_bmu,
@@ -45,7 +44,6 @@ from .datagen import (
 )
 from .analysis import (
     EncodingReport,
-    HeatmapSet,
     NeuronDistanceMap,
     build_distance_map,
     build_encoding_report,
@@ -72,7 +70,6 @@ __all__ = [
     "ReceptiveFieldMask",
     "default_quadrant_mask",
     "load_mask",
-    "masked_distance",
     "masked_quantization_error",
     "masked_topographic_error",
     "mrf_find_bmu",
@@ -90,7 +87,6 @@ __all__ = [
     "save_csv",
     "synthesize_self_touch",
     "EncodingReport",
-    "HeatmapSet",
     "NeuronDistanceMap",
     "build_distance_map",
     "build_encoding_report",

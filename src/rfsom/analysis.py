@@ -21,19 +21,6 @@ from .som import Codebook
 
 
 @dataclass
-class HeatmapSet:
-    """One rows x cols weight grid per input joint.
-
-    Cells where the neuron is not connected to the joint hold NaN in
-    ``grids`` and False in ``connected``.
-    """
-
-    joints: tuple[str, ...]
-    grids: np.ndarray
-    connected: np.ndarray
-
-
-@dataclass
 class NeuronDistanceMap:
     """Per-neuron mean codebook distance to lattice-adjacent neighbors.
 
@@ -66,15 +53,16 @@ class EncodingReport:
     group_distances: np.ndarray
 
 
-def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> HeatmapSet:
-    """Weight grids per joint; masked-off positions become not-connected
-    markers, never zeros."""
+def build_heatmaps(codebook: Codebook, mask: ReceptiveFieldMask) -> np.ndarray:
+    """One rows x cols weight grid per input joint, shape (dims, rows, cols).
+
+    A cell whose neuron is not connected to the joint holds NaN, never a
+    zero; codebook weights are finite, so NaN marks exactly those cells.
+    """
     _check_mask(mask, codebook)
-    rows, cols = codebook.lattice.rows, codebook.lattice.cols
-    grids = codebook.weights.T.reshape(codebook.dims, rows, cols).copy()
-    connected = mask.mask.T.reshape(codebook.dims, rows, cols).copy()
-    grids[~connected] = np.nan
-    return HeatmapSet(joint_names(codebook.dims), grids, connected)
+    lattice = codebook.lattice
+    grids = np.where(mask.mask, codebook.weights, np.nan).T
+    return grids.reshape(codebook.dims, lattice.rows, lattice.cols)
 
 
 def _union_distances(W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -135,8 +123,8 @@ def build_encoding_report(
                 classification=kind,
             )
         )
-    order = mask.group_order()
     indices = mask.group_indices()
+    order = tuple(indices)
     U = _union_distances(codebook.weights, mask.mask)
     k = len(order)
     dist = np.zeros((k, k), dtype=np.float64)
@@ -178,25 +166,21 @@ def cluster_separation_ratio(report: EncodingReport) -> float:
     return float(near / denom)
 
 
-def heatmap_csv_text(grid: np.ndarray, connected: np.ndarray) -> str:
-    """Render one joint's grid as CSV; not-connected cells become ``NC``."""
-    lines = []
-    for r in range(grid.shape[0]):
-        cells = [
-            format_float(grid[r, c]) if connected[r, c] else "NC"
-            for c in range(grid.shape[1])
-        ]
-        lines.append(",".join(cells))
+def heatmap_csv_text(grid: np.ndarray) -> str:
+    """Render one joint's grid as CSV; not-connected (NaN) cells become ``NC``."""
+    lines = [",".join("NC" if np.isnan(v) else format_float(v) for v in row) for row in grid]
     return "\n".join(lines) + "\n"
 
 
-def heatmap_pgm_bytes(grid: np.ndarray, connected: np.ndarray) -> tuple[bytes, bytes]:
+def heatmap_pgm_bytes(grid: np.ndarray) -> tuple[bytes, bytes]:
     """(image, sidecar-mask) binary PGMs for one joint.
 
     Connected weights are min-max scaled to 0..255 per grid; not-connected
-    cells render 0 in the image and 0 in the sidecar (connected cells 255).
+    (NaN) cells render 0 in the image and 0 in the sidecar (connected cells
+    255).
     """
     rows, cols = grid.shape
+    connected = ~np.isnan(grid)
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     pixels = np.zeros((rows, cols), dtype=np.uint8)
     if connected.any():

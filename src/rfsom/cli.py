@@ -553,18 +553,14 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     model = load_model(model_path)
     mask, _ = _masked_map(model)
-    heatmaps = build_heatmaps(model.codebook, mask)
+    grids = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
     report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
     ratio = cluster_separation_ratio(report) if _has_body_groups(mask) else None
     out = _ensure_out(cfg)
-    for j, joint in enumerate(heatmaps.joints):
-        grid = heatmaps.grids[j]
-        connected = heatmaps.connected[j]
-        atomic_write_text(
-            os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid, connected)
-        )
-        image, sidecar = heatmap_pgm_bytes(grid, connected)
+    for joint, grid in zip(model.joints, grids):
+        atomic_write_text(os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid))
+        image, sidecar = heatmap_pgm_bytes(grid)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.pgm"), image)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.mask.pgm"), sidecar)
     doc = {"format": "rfsom-report", "version": 1}
@@ -572,7 +568,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     doc["cluster_separation_ratio"] = ratio
     doc["cluster_separation_reference"] = CLUSTER_SEPARATION_REFERENCE
     atomic_write_text(os.path.join(out, "report.json"), dump_json(doc))
-    print(f"exported {len(heatmaps.joints)} heatmap sets and report.json -> {out}")
+    print(f"exported {len(grids)} heatmap sets and report.json -> {out}")
     return 0
 
 

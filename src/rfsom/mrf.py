@@ -124,28 +124,22 @@ class ReceptiveFieldMask:
     def active_counts(self) -> np.ndarray:
         return self.mask.sum(axis=1)
 
-    def group_order(self) -> tuple[str, ...]:
-        """Distinct base groups: canonical body groups first, then any custom
-        labels in first-appearance order."""
+    def group_indices(self) -> dict[str, np.ndarray]:
+        """Neuron indices per base group, ascending within each group.
+
+        Groups run in canonical body-group order first, then any custom
+        labels in first-appearance order.
+        """
         if self.groups is None:
             raise ValueError("mask has no group labels")
-        seen = []
-        for label in self.groups:
-            g = home_group(label)
-            if g not in seen:
-                seen.append(g)
-        known = [g for g in BODY_GROUPS if g in seen]
-        return tuple(known + [g for g in seen if g not in BODY_GROUPS])
+        homes = np.array([home_group(label) for label in self.groups])
+        seen = dict.fromkeys(homes.tolist())
+        order = [g for g in BODY_GROUPS if g in seen] + [g for g in seen if g not in BODY_GROUPS]
+        return {g: np.flatnonzero(homes == g) for g in order}
 
-    def group_indices(self) -> dict[str, np.ndarray]:
-        """Neuron indices per base group, ascending within each group."""
-        homes = [home_group(label) for label in self.groups or ()]
-        if not homes:
-            raise ValueError("mask has no group labels")
-        return {
-            g: np.array([i for i, h in enumerate(homes) if h == g], dtype=np.intp)
-            for g in self.group_order()
-        }
+    def group_order(self) -> tuple[str, ...]:
+        """Distinct base groups in ``group_indices`` order."""
+        return tuple(self.group_indices())
 
 
 def default_quadrant_mask() -> ReceptiveFieldMask:
@@ -215,10 +209,14 @@ def _distances(
     (..., neurons, dims); the last output axis runs over neurons. ``M`` is
     the mask, or None when ``diff`` is already zero outside the fields. If
     given, ``out`` (shaped like ``diff``) receives the masked squares and
-    ``dist`` the distances."""
-    sq = np.square(diff, out=out)
+    ``dist`` the distances.
+
+    The mask multiplies the difference before it is squared, so a huge
+    masked-off difference gives +0.0 rather than inf * 0 = NaN; for finite
+    differences the bits equal masking the squares."""
     if M is not None:
-        sq *= M
+        diff = np.multiply(diff, M, out=out)
+    sq = np.square(diff, out=out)
     d = np.add.reduce(sq, axis=-1, out=dist)
     np.sqrt(d, out=d)
     if norms is not None:
@@ -238,18 +236,6 @@ def _epoch_metrics(d: np.ndarray, D: np.ndarray) -> tuple[float, float]:
     a single-neuron map logs topographic error 0."""
     qe = float(d.min(axis=1).mean())
     return qe, _topographic_error(d, D) if d.shape[1] > 1 else 0.0
-
-
-def masked_distance(
-    sample, neuron: int, codebook: Codebook, mask: ReceptiveFieldMask, cfg: MrfConfig = MrfConfig()
-) -> float:
-    """Euclidean distance between sample and one neuron over its active
-    dimensions only (optionally RMS-normalized by the active count)."""
-    _check_mask(mask, codebook)
-    x = _as_sample(sample, codebook.dims)
-    if not 0 <= neuron < codebook.n_neurons:
-        raise ValueError(f"neuron index {neuron} out of range")
-    return float(_distances(x - codebook.weights, mask.mask, _norms(mask, cfg))[neuron])
 
 
 def mrf_find_bmu(

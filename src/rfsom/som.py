@@ -58,9 +58,6 @@ class Codebook:
     def dims(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "Codebook":
-        return Codebook(self.weights.copy(), self.lattice)
-
 
 @dataclass(frozen=True)
 class TrainSchedule:

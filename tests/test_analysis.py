@@ -45,27 +45,23 @@ def random_case(rng, rows=3, cols=3, dims=5):
 def test_heatmaps_shape_and_exact_values():
     cb = init_codebook(LatticeSpec(), 7, 0)
     mask = default_quadrant_mask()
-    hm = build_heatmaps(cb, mask)
-    assert hm.grids.shape == (7, 4, 4)
-    assert hm.joints[0] == "head_yaw" and hm.joints[6] == "wrist"
+    grids = build_heatmaps(cb, mask)
+    assert grids.shape == (7, 4, 4)
     for j in range(7):
         for i in range(16):
             r, c = cb.lattice.coord_of(i)
             if mask.mask[i, j]:
-                assert hm.grids[j, r, c] == cb.weights[i, j]  # exact, no rescaling
-                assert hm.connected[j, r, c]
+                assert grids[j, r, c] == cb.weights[i, j]  # exact, no rescaling
             else:
-                assert math.isnan(hm.grids[j, r, c])
-                assert not hm.connected[j, r, c]
+                assert math.isnan(grids[j, r, c])
 
 
 def test_heatmaps_constant_codebook():
     lat = LatticeSpec(rows=2, cols=2)
     cb = Codebook(np.full((4, 3), 0.7), lat)
-    hm = build_heatmaps(cb, all_true_mask(2, 2, 3))
-    assert (hm.grids == 0.7).all()
-    assert hm.connected.all()
-    assert hm.joints == ("dim_0", "dim_1", "dim_2")
+    grids = build_heatmaps(cb, all_true_mask(2, 2, 3))
+    assert grids.shape == (3, 2, 2)
+    assert (grids == 0.7).all()
 
 
 def test_heatmaps_reject_shape_mismatch():
@@ -259,23 +255,22 @@ def test_union_distance_oracle_random():
 
 def test_heatmap_csv_round_trip_with_nc():
     cb = init_codebook(LatticeSpec(), 7, 9)
-    hm = build_heatmaps(cb, default_quadrant_mask())
-    for j in range(7):
-        text = heatmap_csv_text(hm.grids[j], hm.connected[j])
+    mask = default_quadrant_mask()
+    for j, want in enumerate(build_heatmaps(cb, mask)):
+        text = heatmap_csv_text(want)
         assert "NC" in text  # default mask always has disconnected cells
         cells = [line.split(",") for line in text.splitlines()]
         connected = np.array([[c != "NC" for c in row] for row in cells])
         grid = np.array([[np.nan if c == "NC" else float(c) for c in row] for row in cells])
-        np.testing.assert_array_equal(connected, hm.connected[j])
+        np.testing.assert_array_equal(connected, mask.mask[:, j].reshape(4, 4))
         # 17 significant digits keep the round trip bit-exact
-        assert grid[connected].tobytes() == hm.grids[j][hm.connected[j]].tobytes()
+        assert grid[connected].tobytes() == want[connected].tobytes()
         assert np.isnan(grid[~connected]).all()
 
 
 def test_heatmap_pgm_shape_and_scaling():
     grid = np.array([[0.0, 1.0], [2.0, np.nan]])
-    connected = np.array([[True, True], [True, False]])
-    image, sidecar = heatmap_pgm_bytes(grid, connected)
+    image, sidecar = heatmap_pgm_bytes(grid)
     header = b"P5\n2 2\n255\n"
     assert image.startswith(header) and sidecar.startswith(header)
     pixels = np.frombuffer(image[len(header):], dtype=np.uint8).reshape(2, 2)
@@ -289,7 +284,7 @@ def test_heatmap_pgm_shape_and_scaling():
 
 def test_heatmap_pgm_constant_grid():
     grid = np.full((2, 2), 3.3)
-    image, _ = heatmap_pgm_bytes(grid, np.ones((2, 2), dtype=bool))
+    image, _ = heatmap_pgm_bytes(grid)
     pixels = np.frombuffer(image[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
     assert (pixels == 255).all()
 
@@ -300,7 +295,7 @@ def test_heatmap_pgm_span_beyond_float_range():
     grid = np.array([[1e308, -1e308], [0.0, 5.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        image, _ = heatmap_pgm_bytes(grid, np.ones((2, 2), dtype=bool))
+        image, _ = heatmap_pgm_bytes(grid)
     pixels = np.frombuffer(image[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
     np.testing.assert_array_equal(pixels, [255, 0, 128, 128])
 

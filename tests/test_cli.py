@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rfsom.cli import (
     MAX_NEURONS,
     Model,
     RunConfig,
+    _ALL,
+    _DEFAULTS,
     _merge_config,
     build_parser,
     build_run_config,
@@ -237,14 +240,27 @@ def test_flag_equals_set_override():
 
 
 def test_readme_config_table_matches_fields():
+    """Every key appears once in README's table, with the default and the
+    "flag on" subcommands of its ``FIELDS`` row; a row naming several keys
+    lists their defaults in the same order."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    keys = set()
+    fields = {field.key: field for field in FIELDS}
+    keys = []
     for line in section.splitlines():
         if line.startswith("| `"):
-            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
-    assert keys == {field.key for field in FIELDS}
+            cells = [cell.strip() for cell in line.split("|")]
+            row = re.findall(r"`([^`]+)`", cells[1])
+            defaults = re.findall(r"`([^`]+)`", cells[2]) or [""] * len(row)
+            assert len(defaults) == len(row), line
+            for key, default in zip(row, defaults):
+                field = fields[key]
+                assert field.parse(default) == field.parse(_DEFAULTS[key]), key
+                flag_on = {(): "—", _ALL: "all"}.get(field.commands) or " ".join(field.commands)
+                assert cells[3] == flag_on, key
+            keys += row
+    assert sorted(keys) == sorted(fields)
 
 
 # ------------------------------------------------------------- generate
@@ -458,6 +474,31 @@ def test_evaluate_metrics_deterministic(workspace, tmp_path):
     assert 0.0 <= metrics["topographic_error"] <= 1.0
     assert metrics["cluster_separation_reference"] == 0.5
     assert np.isfinite(metrics["cluster_separation_ratio"])
+
+
+def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
+    """A masked-off weight whose square overflows changes neither QE nor TE."""
+    doc = json.loads((workspace / "run" / "model.json").read_text())
+    neuron, dim = np.argwhere(np.array(doc["mask"]["mask"]) == 0)[0]
+    doc["codebook"][neuron][dim] = 1e200
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    metrics = []
+    for name, model in (("plain", workspace / "run" / "model.json"), ("huge", huge)):
+        dataset = workspace / "gen" / "dataset.csv"
+        out = tmp_path / name
+        args = ["--model", str(model), "--dataset-path", str(dataset), "--out", str(out)]
+        with warnings.catch_warnings():
+            # the separation ratio reads union distances, where the huge
+            # weight is active for the other neuron of a pair and its square
+            # overflows; only QE and TE are under test here
+            warnings.filterwarnings(
+                "ignore", "overflow encountered", RuntimeWarning, "rfsom.analysis"
+            )
+            assert run_cli("evaluate", *args) == 0
+        metrics.append(json.loads((out / "metrics.json").read_text()))
+    for key in ("quantization_error", "topographic_error"):
+        assert metrics[1][key] == metrics[0][key] is not None, key
 
 
 def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):

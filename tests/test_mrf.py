@@ -17,8 +17,8 @@ from rfsom.mrf import (
     ReceptiveFieldMask,
     default_quadrant_mask,
     home_group,
+    _dataset_distances,
     load_mask,
-    masked_distance,
     masked_quantization_error,
     masked_topographic_error,
     mrf_find_bmu,
@@ -119,6 +119,19 @@ def test_default_mask_shape_and_groups():
     assert mask.group_order() == BODY_GROUPS
 
 
+def test_group_indices_order_and_members():
+    """Body groups come first in canonical order, then custom groups in order
+    of first appearance; overlap labels join their home group."""
+    labels = ("zeta", "wrist", "overlap-head-wrist", "alpha", "zeta", "head")
+    mask = ReceptiveFieldMask(2, 3, np.ones((6, 2), dtype=bool), labels)
+    indices = mask.group_indices()
+    assert list(indices) == ["head", "wrist", "zeta", "alpha"]
+    assert [idx.tolist() for idx in indices.values()] == [[2, 5], [1], [0, 4], [3]]
+    assert mask.group_order() == ("head", "wrist", "zeta", "alpha")
+    with pytest.raises(ValueError, match="no group labels"):
+        ReceptiveFieldMask(2, 3, np.ones((6, 2), dtype=bool)).group_order()
+
+
 def test_default_mask_quadrant_structure():
     mask = default_quadrant_mask()
     spec = LatticeSpec()
@@ -138,6 +151,12 @@ def test_default_mask_quadrant_structure():
 
 
 # ------------------------------------------------------------- distances
+
+def masked_distance(sample, neuron, cb, mask, cfg=MrfConfig()):
+    """Masked distance from one sample to one neuron, read from the array
+    routine that winner search and the quality metrics share."""
+    return float(_dataset_distances(cb, [sample], mask, cfg)[0, neuron])
+
 
 def test_masked_distance_ignores_inactive_dims():
     lat = LatticeSpec(rows=1, cols=2)
@@ -383,6 +402,25 @@ def test_masked_metrics_match_unmasked_on_alltrue_unnormalized():
 
     assert masked_quantization_error(cb, X, mask, cfg) == quantization_error(cb, X)
     assert masked_topographic_error(cb, X, mask, cfg) == topographic_error(cb, X)
+
+
+@pytest.mark.parametrize("scope", BMU_SCOPES)
+@pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
+def test_huge_masked_off_weight_changes_no_metric_or_winner(scope, normalization):
+    """A masked-off weight is never read: one at 1e200, whose square
+    overflows, leaves QE, TE and every winner as they are."""
+    mask = default_quadrant_mask()
+    cb = init_codebook(LatticeSpec(), 7, 3)
+    off = np.argwhere(~mask.mask)[0]
+    w = cb.weights.copy()
+    w[tuple(off)] = 1e200
+    huge = Codebook(w, cb.lattice)
+    X = np.random.default_rng(3).normal(size=(40, 7))
+    cfg = MrfConfig(bmu_scope=scope, distance_normalization=normalization)
+    for metric in (masked_quantization_error, masked_topographic_error):
+        assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
+    for x in X:
+        assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
 
 
 # ------------------------------------------------------------- mask files
