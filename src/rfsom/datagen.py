@@ -9,10 +9,14 @@ robot data.
 The sampler draws raw doubles and scales them in place, which gives the
 bytes ``Generator.uniform`` would. It runs the arm kinematics on a whole
 batch, one array per coordinate, and skips a wrist rotation about x, the
-forearm's own axis, since it cannot move the contact point. The head
-kinematics and the exact touch test run only on the draws whose hand
-distance from the torso origin is within the touch radius of
-|face_target|, since no other draw can touch (``_touch_hits``).
+forearm's own axis, since it cannot move the contact point. No draw whose
+hand distance from the torso origin is off |face_target| by the touch
+radius or more can touch. A float32 pass of the arm kinematics over the
+whole batch drops those draws, with a slack that covers its rounding, and
+the float64 arm and head kinematics and the exact touch test run only on
+the draws it keeps (``_touch_hits``). Float64 trigonometry and arithmetic
+are elementwise, so a kept draw gets the bits a whole-batch float64 pass
+would give it.
 """
 
 from __future__ import annotations
@@ -123,25 +127,29 @@ def _rotate(axis: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.nd
     return c * x - s * y, s * x + c * y, z
 
 
-def _hand(angles: np.ndarray, chain: ChainSpec):
-    """Hand position ``(x, y, z)`` for a (B, 7) batch of joint angles."""
+def _hand(angles: np.ndarray, chain: ChainSpec, scale: float = 1.0, dtype=np.float64):
+    """Hand position ``(x, y, z)`` for a (B, 7) batch of joint angles,
+    computed in ``dtype`` and in units of ``scale`` meters."""
     ax = chain.joint_axes
     b = angles.shape[0]
-    x = np.full(b, chain.forearm_hand, dtype=np.float64)
-    y = np.zeros(b)
-    z = np.zeros(b)
+    dtype = np.dtype(dtype)
+    x = np.full(b, chain.forearm_hand / scale, dtype=dtype)
+    y = np.zeros(b, dtype=dtype)
+    z = np.zeros(b, dtype=dtype)
     # chain from torso: shoulder roll, shoulder pitch, upper arm, elbow yaw
     # (twist about the upper-arm axis), elbow roll (flexion), wrist, forearm;
     # rotations apply innermost first; a wrist turn about x, the forearm's own
-    # axis, leaves (forearm_hand, 0, 0) in place and only flips signs of zeros
+    # axis, leaves (forearm_hand, 0, 0) in place and only flips signs of zeros;
+    # each angle column is cast on its own (float64 angles stay views), which
+    # keeps a float32 pass from copying the whole batch
     if ax[6] != "x":
-        x, y, z = _rotate(ax[6], angles[:, 6], x, y, z)
-    x, y, z = _rotate(ax[4], angles[:, 4], x, y, z)
-    x, y, z = _rotate(ax[5], angles[:, 5], x, y, z)
-    x = x + chain.upper_arm
-    x, y, z = _rotate(ax[3], angles[:, 3], x, y, z)
-    x, y, z = _rotate(ax[2], angles[:, 2], x, y, z)
-    ox, oy, oz = chain.shoulder_offset
+        x, y, z = _rotate(ax[6], angles[:, 6].astype(dtype, copy=False), x, y, z)
+    x, y, z = _rotate(ax[4], angles[:, 4].astype(dtype, copy=False), x, y, z)
+    x, y, z = _rotate(ax[5], angles[:, 5].astype(dtype, copy=False), x, y, z)
+    x = x + dtype.type(chain.upper_arm / scale)
+    x, y, z = _rotate(ax[3], angles[:, 3].astype(dtype, copy=False), x, y, z)
+    x, y, z = _rotate(ax[2], angles[:, 2].astype(dtype, copy=False), x, y, z)
+    ox, oy, oz = (dtype.type(v / scale) for v in chain.shoulder_offset)
     return ox + x, oy + y, oz + z
 
 
@@ -154,26 +162,73 @@ def _target(angles: np.ndarray, chain: ChainSpec):
     return _rotate(ax[0], angles[:, 0], x, y, z)
 
 
+def _screen_slack(chain: ChainSpec) -> float:
+    """How far, in units of the screen's length scale L, the float32 hand
+    distance of ``_screen`` can stray from the float64 one, plus the
+    rounding of the screen's own difference and thresholds.
+
+    With u = 2**-24 (float32 rounding) and A the largest |arm-joint limit|,
+    each float32 cosine and sine is off by at most e = u*A (the angle's cast)
+    + 2**-16 (float32 cos and sin, allowed 256 ulp of 1.0 where numpy's are
+    tested to a few). Every position is a length <= 1 in units of L, so each
+    of the five rotations adds at most 2e + 4u, and the three offsets, the
+    norm, rho/L, the difference and the threshold add at most 10u more:
+    10e + 30u in all. At the default limits that is 1.6e-4, about 770 times
+    the worst error measured on sampler batches (2e-7). A grows with the
+    limits, so limits far beyond +-pi widen the screen until it keeps every
+    draw; a limit too large for float32 casts to inf, whose cosine is NaN,
+    and a NaN distance is kept.
+    """
+    u = 2.0**-24
+    arm = max(max(abs(lo), abs(hi)) for lo, hi in chain.joint_limits[2:])
+    return 10.0 * (u * arm + 2.0**-16) + 30.0 * u
+
+
+def _screen(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
+    """Indices of the rows of a (B, 7) batch that a float32 pass of the arm
+    kinematics cannot rule out as touches, ascending.
+
+    The head rotates about the torso origin, so the target stays at distance
+    rho = |face_target| from it, and the triangle inequality gives
+    gap >= | |hand| - rho |. The pass computes |hand| on geometry divided by
+    L = max(arm reach, rho), so that every value stays at or below 1, and
+    keeps a draw unless | |hand|/L - rho/L | clears r/L by the slack of
+    ``_screen_slack``; a NaN keeps it.
+    """
+    r = chain.touch_radius
+    rho = math.hypot(*chain.face_target)
+    scale = max(math.hypot(*chain.shoulder_offset) + chain.upper_arm + chain.forearm_hand, rho)
+    # huge limits overflow the float32 cast and give NaN cosines: kept draws
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, z = _hand(draw, chain, scale, np.float32)
+        norm = np.sqrt(x * x + y * y + z * z)
+        far = np.abs(norm - np.float32(rho / scale)) >= r / scale + _screen_slack(chain)
+    return np.flatnonzero(~far)
+
+
 def _touch_hits(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
     """Indices of the rows of a (B, 7) batch whose hand lands within
     ``touch_radius`` of the face target, ascending.
 
-    The head rotates about the torso origin, so the target stays at distance
-    rho = |face_target| from it, and the triangle inequality gives
-    gap >= | |hand| - rho |. Only draws passing that bound, with a slack that
-    float rounding cannot exhaust, get the head kinematics and the exact test.
+    Only the draws ``_screen`` keeps get the float64 arm kinematics, the
+    screen's bound gap >= | |hand| - rho | again in float64 with a slack
+    that float rounding cannot exhaust, the head kinematics and the exact
+    test. Float64 cos, sin and arithmetic are elementwise, so each of them
+    gets the bits a whole-batch float64 pass would give it.
     """
     r = chain.touch_radius
-    hx, hy, hz = _hand(draw, chain)
     rho = math.hypot(*chain.face_target)
+    live = _screen(draw, chain)
+    kept = draw[live]
+    hx, hy, hz = _hand(kept, chain)
     norm = np.sqrt(hx * hx + hy * hy + hz * hz)
-    cand = np.flatnonzero(np.abs(norm - rho) < r * (1 + 1e-9) + 1e-12)
-    tx, ty, tz = _target(draw[cand], chain)
-    dx = hx[cand] - tx
-    dy = hy[cand] - ty
-    dz = hz[cand] - tz
+    near = np.flatnonzero(np.abs(norm - rho) < r * (1 + 1e-9) + 1e-12)
+    tx, ty, tz = _target(kept[near], chain)
+    dx = hx[near] - tx
+    dy = hy[near] - ty
+    dz = hz[near] - tz
     gap = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    return cand[gap < r]
+    return live[near[gap < r]]
 
 
 def forward_kinematics(sample, chain: ChainSpec = ChainSpec()) -> tuple[np.ndarray, np.ndarray]:

@@ -226,9 +226,19 @@ def _distances(
 
 def _topographic_error(d: np.ndarray, D: np.ndarray) -> float:
     """Fraction of rows of a sample-distance matrix whose two nearest neurons
-    are not lattice-adjacent (ties break to the smaller index)."""
-    order = np.argsort(d, axis=1, kind="stable")
-    return float((D[order[:, 0], order[:, 1]] != 1).mean())
+    are not lattice-adjacent (ties break to the smaller index).
+
+    The pair is the first two of a stable argsort, found by two argmins over
+    the distances' bits. A distance is +0.0 or more, and such doubles order
+    like their bits; the canonical NaN's bits lie above +inf's, where argsort
+    puts every NaN (a masked-off difference that overflows to inf gives one).
+    """
+    key = np.where(np.isnan(d), np.nan, d).view(np.uint64)
+    rows = np.arange(key.shape[0])
+    first = key.argmin(axis=1)
+    key[rows, first] = np.iinfo(np.uint64).max
+    second = key.argmin(axis=1)
+    return float((D[first, second] != 1).mean())
 
 
 def _epoch_metrics(d: np.ndarray, D: np.ndarray) -> tuple[float, float]:

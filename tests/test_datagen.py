@@ -13,6 +13,8 @@ from rfsom.datagen import (
     ChainSpec,
     NormalizationParams,
     SamplingError,
+    _hand,
+    _screen_slack,
     _touch_hits,
     apply_normalization,
     fit_normalization,
@@ -234,6 +236,19 @@ def test_synthesize_rejects_bad_arguments():
         synthesize_self_touch(ChainSpec(), 5, seed=0, max_attempts=0)
 
 
+def scaled_chain(factor):
+    """Default chain with every length, offset and the touch radius scaled."""
+    chain = ChainSpec()
+    return dataclasses.replace(
+        chain,
+        shoulder_offset=tuple(v * factor for v in chain.shoulder_offset),
+        upper_arm=chain.upper_arm * factor,
+        forearm_hand=chain.forearm_hand * factor,
+        face_target=tuple(v * factor for v in chain.face_target),
+        touch_radius=chain.touch_radius * factor,
+    )
+
+
 HIT_CHAINS = {
     "default": ChainSpec(),
     "r0.1": easy_chain(0.1),
@@ -244,18 +259,46 @@ HIT_CHAINS = {
     "r-inf": easy_chain(math.inf),
     # a wrist turn about y moves the contact point, so the sampler rotates it
     "wrist-y": dataclasses.replace(ChainSpec(), joint_axes=("z", "y", "z", "y", "z", "x", "y")),
+    # float32 casts angles this large coarsely, so the screen's slack widens
+    "limits-1e4": dataclasses.replace(ChainSpec(), joint_limits=((-1e4, 1e4),) * 7),
+    # float32 casts these angles to inf and the screen sees NaN distances
+    "limits-1e300": dataclasses.replace(ChainSpec(), joint_limits=((-1e300, 1e300),) * 7),
+    "scaled-1e-30": scaled_chain(1e-30),
+    "scaled-1e30": scaled_chain(1e30),
 }
 
 
 @pytest.mark.parametrize("chain", HIT_CHAINS.values(), ids=HIT_CHAINS.keys())
 def test_touch_hits_match_row_reference(chain):
-    """The norm prefilter drops no draw the exact test keeps: hits equal the
-    former every-row batch path on full sampler batches."""
+    """Neither the float32 screen nor the float64 norm bound drops a draw the
+    exact test keeps: hits equal the former every-row batch path on full
+    sampler batches."""
     for seed in range(4):
         rng = np.random.default_rng(seed)
         draw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
         want = np.flatnonzero(touch_gaps_rows(draw, chain) < chain.touch_radius)
         np.testing.assert_array_equal(_touch_hits(draw, chain), want)
+
+
+def test_touch_screen_error_is_far_below_its_slack():
+    """On sampler batches the float32 hand distance strays from the float64
+    one by at most a hundredth of the screen's slack."""
+    for chain in (HIT_CHAINS["default"], HIT_CHAINS["permuted-axes"]):
+        # the screen's length scale: arm reach or target distance
+        scale = max(
+            math.hypot(*chain.shoulder_offset) + chain.upper_arm + chain.forearm_hand,
+            math.hypot(*chain.face_target),
+        )
+        worst = 0.0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            draw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+            sx, sy, sz = _hand(draw, chain, scale, np.float32)
+            n32 = np.sqrt(sx * sx + sy * sy + sz * sz).astype(np.float64)
+            hx, hy, hz = _hand(draw, chain)
+            n64 = np.sqrt(hx * hx + hy * hy + hz * hz)
+            worst = max(worst, np.abs(n32 * scale - n64).max() / scale)
+        assert 0.0 < worst * 100 <= _screen_slack(chain)
 
 
 def collinear_case(n, seed):

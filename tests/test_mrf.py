@@ -18,6 +18,7 @@ from rfsom.mrf import (
     default_quadrant_mask,
     home_group,
     _dataset_distances,
+    _topographic_error,
     load_mask,
     masked_quantization_error,
     masked_topographic_error,
@@ -421,6 +422,37 @@ def test_huge_masked_off_weight_changes_no_metric_or_winner(scope, normalization
         assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
     for x in X:
         assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
+
+
+def test_topographic_error_pair_is_the_stable_argsort_pair():
+    """Each row's nearest pair equals a stable argsort's first two entries,
+    on ties, a lone finite entry, all +inf and NaN rows alike: the lattice
+    table marks only that ordered pair adjacent."""
+    inf, nan = np.inf, np.nan
+    rows = [
+        [0.5, 0.5, 0.5, 0.5],
+        [0.7, 0.2, 0.2, 0.9],
+        [0.3, 0.1, 0.3, 0.1],
+        [0.0, 0.0, 1.0, 2.0],
+        [inf, inf, 0.4, inf],
+        [0.4, inf, inf, inf],
+        [inf, inf, inf, inf],
+        [nan, 0.3, nan, 0.1],
+        [nan, inf, 0.2, nan],
+        [nan, inf, nan, inf],
+        [nan, nan, nan, 0.6],
+        [nan, nan, nan, nan],
+    ]
+    rng = np.random.default_rng(5)
+    rows += rng.integers(0, 3, size=(40, 4)).astype(np.float64).tolist()
+    for row in rows:
+        d = np.array([row])
+        a, b = np.argsort(d[0], kind="stable")[:2]
+        D = np.full((4, 4), 2)
+        D[a, b] = 1
+        assert _topographic_error(d, D) == 0.0, row
+        D[a, b], D[b, a] = 2, 1
+        assert _topographic_error(d, D) == 1.0, row
 
 
 # ------------------------------------------------------------- mask files
