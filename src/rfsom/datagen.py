@@ -12,11 +12,11 @@ batch, one array per coordinate, and skips a wrist rotation about x, the
 forearm's own axis, since it cannot move the contact point. No draw whose
 hand distance from the torso origin is off |face_target| by the touch
 radius or more can touch. A float32 pass of the arm kinematics over the
-whole batch drops those draws, with a slack that covers its rounding, and
-the float64 arm and head kinematics and the exact touch test run only on
-the draws it keeps (``_touch_hits``). Float64 trigonometry and arithmetic
-are elementwise, so a kept draw gets the bits a whole-batch float64 pass
-would give it.
+whole batch drops those draws, with a slack that covers its rounding. It is
+the only prefilter: the float64 arm and head kinematics and the exact touch
+test run on every draw it keeps (``_touch_hits``). Float64 trigonometry and
+arithmetic are elementwise, so a kept draw gets the bits a whole-batch
+float64 pass would give it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ JOINT_NAMES = (
 )
 
 CSV_HEADER = ",".join(JOINT_NAMES)
+
+# largest |cell| a dataset file may hold: normalization and the distances sum
+# n squares of differences of two cells, and n * (2 * 1e100)**2 = n * 4e200
+# stays finite for every n below 1e107, far more rows than fit in memory
+_MAX_MAGNITUDE = 1e100
 
 
 def joint_names(dims: int) -> tuple[str, ...]:
@@ -210,25 +215,20 @@ def _touch_hits(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
     """Indices of the rows of a (B, 7) batch whose hand lands within
     ``touch_radius`` of the face target, ascending.
 
-    Only the draws ``_screen`` keeps get the float64 arm kinematics, the
-    screen's bound gap >= | |hand| - rho | again in float64 with a slack
-    that float rounding cannot exhaust, the head kinematics and the exact
-    test. Float64 cos, sin and arithmetic are elementwise, so each of them
-    gets the bits a whole-batch float64 pass would give it.
+    ``_screen`` is the one prefilter: every draw it keeps gets the float64
+    arm and head kinematics and the exact test ``gap < touch_radius``.
+    Float64 cos, sin and arithmetic are elementwise, so each of them gets
+    the bits a whole-batch float64 pass would give it.
     """
-    r = chain.touch_radius
-    rho = math.hypot(*chain.face_target)
     live = _screen(draw, chain)
     kept = draw[live]
     hx, hy, hz = _hand(kept, chain)
-    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
-    near = np.flatnonzero(np.abs(norm - rho) < r * (1 + 1e-9) + 1e-12)
-    tx, ty, tz = _target(kept[near], chain)
-    dx = hx[near] - tx
-    dy = hy[near] - ty
-    dz = hz[near] - tz
+    tx, ty, tz = _target(kept, chain)
+    dx = hx - tx
+    dy = hy - ty
+    dz = hz - tz
     gap = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    return live[near[gap < r]]
+    return live[gap < chain.touch_radius]
 
 
 def forward_kinematics(sample, chain: ChainSpec = ChainSpec()) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +310,8 @@ def save_csv(dataset, path) -> None:
 
 def load_csv(path) -> np.ndarray:
     """Read the dataset format back; exact inverse of ``save_csv`` at full
-    printed precision."""
+    printed precision. A cell must be finite and at most ``_MAX_MAGNITUDE``
+    in magnitude."""
     raw = read_lines(path)
     if not raw or raw[0] != CSV_HEADER:
         got = raw[0] if raw else ""
@@ -333,6 +334,11 @@ def load_csv(path) -> np.ndarray:
             if not np.isfinite(value):
                 raise ParseError(
                     f"{path}: line {lineno}, column {j + 1}: non-finite value {cell!r}"
+                )
+            if abs(value) > _MAX_MAGNITUDE:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {j + 1}: value {cell!r} exceeds "
+                    f"the magnitude limit {_MAX_MAGNITUDE:g}"
                 )
             out[i, j] = value
     return out

@@ -202,20 +202,16 @@ def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     return None
 
 
-def _distances(
-    diff: np.ndarray, M: np.ndarray | None, norms, out=None, dist=None
-) -> np.ndarray:
-    """Masked distances from sample-minus-weight differences of shape
-    (..., neurons, dims); the last output axis runs over neurons. ``M`` is
-    the mask, or None when ``diff`` is already zero outside the fields. If
-    given, ``out`` (shaped like ``diff``) receives the masked squares and
-    ``dist`` the distances.
+def _distances(diff: np.ndarray, norms, out=None, dist=None) -> np.ndarray:
+    """Masked distances from masked-sample-minus-masked-weight differences of
+    shape (..., neurons, dims); the last output axis runs over neurons. If
+    given, ``out`` (shaped like ``diff``) receives the squares and ``dist``
+    the distances.
 
-    The mask multiplies the difference before it is squared, so a huge
-    masked-off difference gives +0.0 rather than inf * 0 = NaN; for finite
-    differences the bits equal masking the squares."""
-    if M is not None:
-        diff = np.multiply(diff, M, out=out)
+    Both operands are masked before they meet, so a masked-off entry is a
+    difference of zeros and squares to +0.0 at any size. Where x - w is
+    finite, x*m - w*m equals (x - w)*m bit for bit, so the distances equal
+    those of masking the difference."""
     sq = np.square(diff, out=out)
     d = np.add.reduce(sq, axis=-1, out=dist)
     np.sqrt(d, out=d)
@@ -231,7 +227,7 @@ def _topographic_error(d: np.ndarray, D: np.ndarray) -> float:
     The pair is the first two of a stable argsort, found by two argmins over
     the distances' bits. A distance is +0.0 or more, and such doubles order
     like their bits; the canonical NaN's bits lie above +inf's, where argsort
-    puts every NaN (a masked-off difference that overflows to inf gives one).
+    puts every NaN.
     """
     key = np.where(np.isnan(d), np.nan, d).view(np.uint64)
     rows = np.arange(key.shape[0])
@@ -257,9 +253,8 @@ def mrf_find_bmu(
     mapping each base group to its internal winner under "per-group" scope.
     Ties break to the smallest row-major index either way.
     """
-    _check_mask(mask, codebook)
     x = _as_sample(sample, codebook.dims)
-    d = _distances(x - codebook.weights, mask.mask, _norms(mask, cfg))
+    d = _dataset_distances(codebook, x[None], mask, cfg)[0]
     if cfg.bmu_scope == "global-masked":
         return int(np.argmin(d))
     return {g: int(idx[np.argmin(d[idx])]) for g, idx in mask.group_indices().items()}
@@ -338,13 +333,13 @@ def mrf_train(
         samples = shuffle_order(schedule.seed, epoch, n).tolist()
         for i, alpha, sigma in zip(samples, alphas[t].tolist(), sigmas[t].tolist()):
             np.subtract(rows[i], W, out=step)
-            _distances(step, None, norms, out=sq, dist=dist)
+            _distances(step, norms, out=sq, dist=dist)
             for d_g, h_g, Dg in views:
                 np.multiply(neighborhood_weight(Dg[d_g.argmin()], sigma), alpha, out=h_g)
             step *= h_col
             W += step
         np.subtract(tiles, W, out=tiles)
-        d = _distances(tiles, None, norms, out=tiles)
+        d = _distances(tiles, norms, out=tiles)
         qe, te = _epoch_metrics(d[:, back], D)
         log.quantization_errors.append(qe)
         log.topographic_errors.append(te)
@@ -358,8 +353,10 @@ def _dataset_distances(
 ) -> np.ndarray:
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
-    diff = X[..., None, :] - codebook.weights
-    return _distances(diff, mask.mask, _norms(mask, cfg), out=diff)
+    M = mask.mask
+    diff = np.multiply(X[:, None, :], M)
+    diff -= codebook.weights * M
+    return _distances(diff, _norms(mask, cfg), out=diff)
 
 
 def masked_quantization_error(

@@ -134,6 +134,9 @@ def _as_sample(sample, dims: int) -> np.ndarray:
     x = np.asarray(sample, dtype=np.float64)
     if x.shape != (dims,):
         raise ValueError(f"sample has shape {x.shape}, expected ({dims},)")
+    if not np.isfinite(x).all():
+        j = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(f"sample value at index {j} is not finite: {x[j]}")
     return x
 
 

@@ -517,6 +517,30 @@ def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
     assert "expected header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_huge_dataset_cell_exit4_without_output(workspace, tmp_path, capsys, command):
+    """A finite cell whose squares would overflow is refused where the file
+    is read, with its line and column, before any overflow or write."""
+    lines = (workspace / "gen" / "dataset.csv").read_text().splitlines()
+    for lineno in (3, 5):
+        cells = lines[lineno - 1].split(",")
+        cells[2] = "1.7e308"
+        lines[lineno - 1] = ",".join(cells)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    model = str(workspace / "run" / "model.json")
+    argv = {
+        "train": train_args(out, huge),
+        "evaluate": ["evaluate", "--model", model, "--dataset-path", str(huge), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: {huge}: line 3, column 3: value '1.7e308' exceeds the magnitude limit 1e+100\n"
+    )
+    assert not out.exists()
+
+
 # the input a command reads -> its arguments, given a workspace and a missing path
 MISSING_INPUTS = {
     "config": lambda ws, p: ["generate", "--config", p],

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,9 +271,9 @@ HIT_CHAINS = {
 
 @pytest.mark.parametrize("chain", HIT_CHAINS.values(), ids=HIT_CHAINS.keys())
 def test_touch_hits_match_row_reference(chain):
-    """Neither the float32 screen nor the float64 norm bound drops a draw the
-    exact test keeps: hits equal the former every-row batch path on full
-    sampler batches."""
+    """The float32 screen, the one prefilter, drops no draw the exact test
+    keeps: hits equal the former every-row batch path on full sampler
+    batches."""
     for seed in range(4):
         rng = np.random.default_rng(seed)
         draw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
@@ -304,7 +305,8 @@ def test_touch_screen_error_is_far_below_its_slack():
 def collinear_case(n, seed):
     """A chain and ``n`` poses of it whose hand lies on the ray from the torso
     origin through the face target, so the gap equals | |hand| - rho | and
-    only the prefilter's slack keeps a draw whose gap sits at the radius."""
+    only the float32 screen's slack keeps a draw whose gap sits at the
+    radius."""
     chain = widened_chain(shoulder_offset=(0.0, 0.0, 0.0), face_target=(0.05, 0.0, 0.0))
     draw = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(n, 7))
     draw[:, 2] = draw[:, 0]  # shoulder roll follows head yaw (both about z)
@@ -315,7 +317,7 @@ def collinear_case(n, seed):
 
 def test_touch_hits_exact_at_the_radius():
     """A draw is rejected at touch_radius == its gap and accepted one ulp
-    above: the exact test decides, the prefilter never does."""
+    above: the exact test decides, the float32 screen never does."""
     default = ChainSpec()
     cases = [
         (default, np.random.default_rng(11).uniform(
@@ -382,6 +384,24 @@ def test_load_csv_parse_errors_name_location(tmp_path):
     path.write_text(CSV_HEADER + "\n" + row.replace("0.1", "inf", 1) + "\n")
     with pytest.raises(ParseError, match="non-finite"):
         load_csv(path)
+
+
+def test_load_csv_rejects_cells_beyond_the_magnitude_limit(tmp_path):
+    """A finite cell above 1e100, whose squares could overflow, is refused
+    with its line and column; the limit itself loads."""
+    path = tmp_path / "huge.csv"
+    row = ["0.5"] * 7
+    for value in (1e100, -1e100):
+        row[4] = repr(value)
+        path.write_text(CSV_HEADER + "\n" + ",".join(row) + "\n")
+        assert load_csv(path)[0, 4] == value
+    above = repr(float(np.nextafter(1e100, np.inf)))
+    for cell in (above, "-" + above, "1.7e308"):
+        row[4] = cell
+        path.write_text(CSV_HEADER + "\n" + ",".join(["0.1"] * 7) + "\n" + ",".join(row) + "\n")
+        message = f"line 3, column 5: value '{cell}' exceeds the magnitude limit 1e+100"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_csv(path)
 
 
 def test_load_csv_header_only_gives_empty_dataset(tmp_path):

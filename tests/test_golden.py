@@ -7,7 +7,7 @@ version 2 (no duplicated configuration blocks, no ``lattice.layout`` key).
 A change that alters any artifact on purpose updates them and says why.
 
 The sampler digests pin the rows and the draw count of ``synthesize_self_touch``
-at small touch radii, where its norm prefilter rejects most draws; the CLI
+at small touch radii, where its float32 screen rejects most draws; the CLI
 tree samples at radius 0.5, where nearly every draw passes it.
 """
 

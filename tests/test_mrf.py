@@ -29,6 +29,7 @@ from rfsom.mrf import (
 from rfsom.som import (
     Codebook,
     TrainSchedule,
+    find_bmu,
     init_codebook,
     quantization_error,
     topographic_error,
@@ -264,6 +265,22 @@ def test_mrf_find_bmu_per_group_needs_labels():
         mrf_find_bmu([0.0, 0.0], cb, mask, MrfConfig(bmu_scope="per-group"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_winner_search_rejects_non_finite_sample(bad):
+    """A NaN or infinite sample entry is named by its index, under either
+    scope, instead of yielding a winner."""
+    mask = default_quadrant_mask()
+    cb = init_codebook(LatticeSpec(), 7, 0)
+    x = np.zeros(7)
+    x[4] = bad
+    message = f"sample value at index 4 is not finite: {bad}"
+    with pytest.raises(ValueError, match=message):
+        find_bmu(x, cb)
+    for scope in BMU_SCOPES:
+        with pytest.raises(ValueError, match=message):
+            mrf_find_bmu(x, cb, mask, MrfConfig(bmu_scope=scope))
+
+
 def test_mrf_find_bmu_matches_oracle_randomly():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -409,19 +426,26 @@ def test_masked_metrics_match_unmasked_on_alltrue_unnormalized():
 @pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
 def test_huge_masked_off_weight_changes_no_metric_or_winner(scope, normalization):
     """A masked-off weight is never read: one at 1e200, whose square
-    overflows, leaves QE, TE and every winner as they are."""
+    overflows, or one at -1.7e308 against a sample entry at +1.7e308, whose
+    difference overflows, leaves QE, TE and every winner as they are. The
+    neurons that do use that dimension overflow in the second case, as
+    they should."""
     mask = default_quadrant_mask()
     cb = init_codebook(LatticeSpec(), 7, 3)
     off = np.argwhere(~mask.mask)[0]
-    w = cb.weights.copy()
-    w[tuple(off)] = 1e200
-    huge = Codebook(w, cb.lattice)
-    X = np.random.default_rng(3).normal(size=(40, 7))
     cfg = MrfConfig(bmu_scope=scope, distance_normalization=normalization)
-    for metric in (masked_quantization_error, masked_topographic_error):
-        assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
-    for x in X:
-        assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
+    for weight, entry, over in ((1e200, None, "warn"), (-1.7e308, 1.7e308, "ignore")):
+        w = cb.weights.copy()
+        w[tuple(off)] = weight
+        huge = Codebook(w, cb.lattice)
+        X = np.random.default_rng(3).normal(size=(40, 7))
+        if entry is not None:
+            X[0, off[1]] = entry
+        with np.errstate(over=over):
+            for metric in (masked_quantization_error, masked_topographic_error):
+                assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
+            for x in X:
+                assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
 
 
 def test_topographic_error_pair_is_the_stable_argsort_pair():
