@@ -70,7 +70,7 @@ def _union_distances(W: np.ndarray, M: np.ndarray) -> np.ndarray:
     pair's active dimensions."""
     union = M[:, None, :] | M
     diff = W[:, None, :] - W
-    # where, not a multiply: an overflowing masked-out difference is dropped, not NaN
+    # every weight is at most 1e100 in magnitude, so no difference or square overflows
     return np.sqrt(np.where(union, diff**2, 0.0).sum(axis=-1)) / np.sqrt(union.sum(axis=-1))
 
 
@@ -184,12 +184,10 @@ def heatmap_pgm_bytes(grid: np.ndarray) -> tuple[bytes, bytes]:
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     pixels = np.zeros((rows, cols), dtype=np.uint8)
     if connected.any():
-        # halved, so a span wider than the float range cannot overflow;
-        # halving is exact for normal floats, so other bytes do not change
-        half = grid[connected] / 2
-        lo, hi = float(half.min()), float(half.max())
+        values = grid[connected]
+        lo, hi = float(values.min()), float(values.max())
         if hi > lo:
-            scaled = np.rint((half - lo) / (hi - lo) * 255.0)
+            scaled = np.rint((values - lo) / (hi - lo) * 255.0)
             pixels[connected] = np.clip(scaled, 0, 255).astype(np.uint8)
         else:
             pixels[connected] = 255

@@ -4,7 +4,8 @@ A two-link arm hangs off a torso-fixed shoulder; a face target point rides on
 a two-joint head. Configurations are drawn uniformly inside the joint limits
 and kept when the hand lands within the touch radius of the face target.
 All geometry lives in ``ChainSpec`` and is an artifact default, not recorded
-robot data.
+robot data. Joint limits, datasets and normalization parameters pass the
+library's one value check: finite and at most 1e100 in magnitude.
 
 The sampler draws raw doubles and scales them in place, which gives the
 bytes ``Generator.uniform`` would. It runs the arm kinematics on a whole
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import ParseError, atomic_write_text, format_float, read_lines
-from .som import _check_seed
+from .som import _check_seed, _check_values
 
 JOINT_NAMES = (
     "head_yaw",
@@ -40,11 +41,6 @@ JOINT_NAMES = (
 )
 
 CSV_HEADER = ",".join(JOINT_NAMES)
-
-# largest |cell| a dataset file may hold: normalization and the distances sum
-# n squares of differences of two cells, and n * (2 * 1e100)**2 = n * 4e200
-# stays finite for every n below 1e107, far more rows than fit in memory
-_MAX_MAGNITUDE = 1e100
 
 
 def joint_names(dims: int) -> tuple[str, ...]:
@@ -94,11 +90,9 @@ class ChainSpec:
         if len(self.joint_limits) != len(JOINT_NAMES):
             raise ValueError(f"need {len(JOINT_NAMES)} joint limit pairs")
         for name, (lo, hi) in zip(JOINT_NAMES, self.joint_limits):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            _check_values((lo, hi), f"{name} limit")
+            if not lo < hi:
                 raise ValueError(f"degenerate limits for {name}: [{lo}, {hi}]")
-            # the sampler scales draws by hi - lo, which must be finite
-            if not math.isfinite(hi - lo):
-                raise ValueError(f"limits for {name} span more than a float: [{lo}, {hi}]")
         if len(self.shoulder_offset) != 3 or len(self.face_target) != 3:
             raise ValueError("shoulder_offset and face_target must be 3-vectors")
         if self.upper_arm <= 0.0 or self.forearm_hand <= 0.0:
@@ -300,18 +294,16 @@ def save_csv(dataset, path) -> None:
     X = np.asarray(dataset, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(JOINT_NAMES):
         raise ValueError(f"dataset has shape {X.shape}, expected (n, {len(JOINT_NAMES)})")
-    if not np.isfinite(X).all():
-        raise ValueError("dataset contains non-finite values")
     lines = [CSV_HEADER]
-    for row in X:
+    for row in _check_values(X, "dataset"):
         lines.append(",".join(format_float(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> np.ndarray:
     """Read the dataset format back; exact inverse of ``save_csv`` at full
-    printed precision. A cell must be finite and at most ``_MAX_MAGNITUDE``
-    in magnitude."""
+    printed precision. Every cell must pass ``_check_values``; the first that
+    does not is reported with its line, column and text."""
     raw = read_lines(path)
     if not raw or raw[0] != CSV_HEADER:
         got = raw[0] if raw else ""
@@ -326,22 +318,17 @@ def load_csv(path) -> np.ndarray:
             )
         for j, cell in enumerate(cells):
             try:
-                value = float(cell)
+                out[i, j] = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
                 ) from None
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: non-finite value {cell!r}"
-                )
-            if abs(value) > _MAX_MAGNITUDE:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: value {cell!r} exceeds "
-                    f"the magnitude limit {_MAX_MAGNITUDE:g}"
-                )
-            out[i, j] = value
-    return out
+
+    def bad_cell(at, why):
+        cell = raw[at[0] + 1].split(",")[at[1]]
+        return ParseError(f"{path}: line {at[0] + 2}, column {at[1] + 1}: value {cell!r} {why}")
+
+    return _check_values(out, "dataset", bad_cell)
 
 
 @dataclass
@@ -358,8 +345,8 @@ class NormalizationParams:
             raise ValueError(
                 f"mean and std must be 1-D with equal shapes, got {mean.shape} and {std.shape}"
             )
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise ValueError("normalization parameters must be finite")
+        mean = _check_values(mean, "normalization mean")
+        std = _check_values(std, "normalization std")
         if not (std > 0.0).all():
             raise ValueError("every std must be positive")
         self.mean = mean
@@ -377,8 +364,7 @@ def fit_normalization(dataset) -> NormalizationParams:
         raise ValueError(f"dataset must be 2-D, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 rows to fit normalization, got {X.shape[0]}")
-    if not np.isfinite(X).all():
-        raise ValueError("dataset contains non-finite values")
+    X = _check_values(X, "dataset")
     # detect constant columns by exact range, not std == 0: rounding in the
     # mean can leave a constant column with a tiny nonzero std
     constant = X.max(axis=0) == X.min(axis=0)

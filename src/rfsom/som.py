@@ -8,6 +8,7 @@ unnormalized distances and global winner scope. Training is stochastic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,29 @@ def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
+
+
+# largest |value| any array may hold: normalization and the distances sum
+# n squares of differences of two values, and n * (2 * 1e100)**2 = n * 4e200
+# stays finite for every n below 1e107, far more rows than fit in memory
+_MAX_MAGNITUDE = 1e100
+
+
+def _check_values(values, what: str, located=None) -> np.ndarray:
+    """1-D or 2-D ``values`` as a float64 array. The first entry, row-major,
+    that is not finite or exceeds ``_MAX_MAGNITUDE`` in magnitude raises
+    ``located(index, reason)`` if given, else a ValueError naming ``what``."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = np.argwhere(~(np.abs(v) <= _MAX_MAGNITUDE))
+    if bad.size:
+        at = tuple(bad[0])
+        big = f"exceeds the magnitude limit {_MAX_MAGNITUDE:g}"
+        why = big if math.isfinite(v[at]) else "is not finite"
+        if located is not None:
+            raise located(at, why)
+        where = f"row {at[0]}, column {at[1]}" if v.ndim == 2 else f"index {at[0]}"
+        raise ValueError(f"{what} value at {where} {why}: {v[at]}")
+    return v
 
 
 @dataclass
@@ -46,9 +70,7 @@ class Codebook:
                 f"codebook has {w.shape[0]} rows but lattice "
                 f"{self.lattice.rows}x{self.lattice.cols} has {self.lattice.n_neurons} neurons"
             )
-        if not np.isfinite(w).all():
-            raise ValueError("codebook weights must be finite")
-        self.weights = w
+        self.weights = _check_values(w, "codebook")
 
     @property
     def n_neurons(self) -> int:
@@ -85,8 +107,8 @@ class TrainSchedule:
             raise ValueError(f"alpha_end must be in (0, alpha0], got {self.alpha_end}")
         if self.sigma0 <= 0.0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if not 0.0 < self.sigma_end <= self.sigma0:
-            raise ValueError(f"sigma_end must be in (0, sigma0], got {self.sigma_end}")
+        if not 1 / _MAX_MAGNITUDE <= self.sigma_end <= self.sigma0:
+            raise ValueError(f"sigma_end must be in [1e-100, sigma0], got {self.sigma_end}")
         if self.decay not in DECAYS:
             raise ValueError(f"unknown decay {self.decay!r}, expected one of {DECAYS}")
         _check_seed(self.seed)
@@ -134,10 +156,7 @@ def _as_sample(sample, dims: int) -> np.ndarray:
     x = np.asarray(sample, dtype=np.float64)
     if x.shape != (dims,):
         raise ValueError(f"sample has shape {x.shape}, expected ({dims},)")
-    if not np.isfinite(x).all():
-        j = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise ValueError(f"sample value at index {j} is not finite: {x[j]}")
-    return x
+    return _check_values(x, "sample")
 
 
 def _as_dataset(dataset, dims: int) -> np.ndarray:
@@ -146,10 +165,7 @@ def _as_dataset(dataset, dims: int) -> np.ndarray:
         raise ValueError(f"dataset has shape {X.shape}, expected (n, {dims})")
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"dataset value at row {row}, column {col} is not finite: {X[row, col]}")
-    return X
+    return _check_values(X, "dataset")
 
 
 def _as_masked(codebook: Codebook):

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -310,15 +309,17 @@ def no_work(monkeypatch):
 
 
 def test_generate_overflowing_limit_span_exit4_before_sampling(tmp_path, capsys, no_work):
+    """A joint limit beyond 1e100 is refused with the configuration, whether
+    or not its span hi - lo overflows a float."""
     out = tmp_path / "never"
-    code = run_cli("generate", "--set", "chain.limit.wrist=-1e308,1e308", "--out", str(out))
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err == (
-        "error: invalid configuration: limits for wrist span more than a float: "
-        "[-1e+308, 1e+308]\n"
-    )
-    assert not out.exists()
+    for limit in ("1e+308", "1e+200"):
+        setting = f"chain.limit.wrist=-{limit},{limit}"
+        assert run_cli("generate", "--set", setting, "--n", "5", *EASY, "--out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: wrist limit value at index 0 exceeds the magnitude "
+            f"limit 1e+100: -{limit}\n"
+        )
+        assert not out.exists()
 
 
 def test_missing_out_exit4_before_any_work(workspace, capsys, no_work):
@@ -477,10 +478,12 @@ def test_evaluate_metrics_deterministic(workspace, tmp_path):
 
 
 def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
-    """A masked-off weight whose square overflows changes neither QE nor TE."""
+    """A masked-off weight at the magnitude limit changes neither QE nor TE,
+    and the separation ratio, which reads it through union distances, stays
+    finite."""
     doc = json.loads((workspace / "run" / "model.json").read_text())
     neuron, dim = np.argwhere(np.array(doc["mask"]["mask"]) == 0)[0]
-    doc["codebook"][neuron][dim] = 1e200
+    doc["codebook"][neuron][dim] = 1e100
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(doc))
     metrics = []
@@ -488,17 +491,11 @@ def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
         dataset = workspace / "gen" / "dataset.csv"
         out = tmp_path / name
         args = ["--model", str(model), "--dataset-path", str(dataset), "--out", str(out)]
-        with warnings.catch_warnings():
-            # the separation ratio reads union distances, where the huge
-            # weight is active for the other neuron of a pair and its square
-            # overflows; only QE and TE are under test here
-            warnings.filterwarnings(
-                "ignore", "overflow encountered", RuntimeWarning, "rfsom.analysis"
-            )
-            assert run_cli("evaluate", *args) == 0
+        assert run_cli("evaluate", *args) == 0
         metrics.append(json.loads((out / "metrics.json").read_text()))
     for key in ("quantization_error", "topographic_error"):
         assert metrics[1][key] == metrics[0][key] is not None, key
+    assert np.isfinite(metrics[1]["cluster_separation_ratio"])
 
 
 def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
@@ -537,6 +534,59 @@ def test_huge_dataset_cell_exit4_without_output(workspace, tmp_path, capsys, com
     assert run_cli(*argv) == 4
     assert capsys.readouterr().err == (
         f"error: {huge}: line 3, column 3: value '1.7e308' exceeds the magnitude limit 1e+100\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_huge_model_weight_exit4_without_output(workspace, tmp_path, capsys, command):
+    """A masked-off weight beyond the magnitude limit is refused where the
+    model is read, with its row and column, before any overflow or write."""
+    doc = json.loads((workspace / "run" / "model.json").read_text())
+    neuron, dim = np.argwhere(np.array(doc["mask"]["mask"]) == 0)[0]
+    doc["codebook"][neuron][dim] = 1e200
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--model", str(model), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--dataset-path", str(workspace / "gen" / "dataset.csv")]
+    assert run_cli(*argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: {model}: malformed model: codebook value at row {neuron}, column {dim} "
+        "exceeds the magnitude limit 1e+100: 1e+200\n"
+    )
+    assert not out.exists()
+
+
+def test_tiny_model_std_exit4_without_output(workspace, tmp_path, capsys):
+    """A std so small that the normalized data exceed the magnitude limit is
+    refused with the first such value's row and column, before any distance
+    or write."""
+    doc = json.loads((workspace / "run" / "model.json").read_text())
+    doc["normalization"]["std"][0] = 1e-300
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps(doc))
+    dataset = workspace / "gen" / "dataset.csv"
+    value = (load_csv(dataset)[0, 0] - doc["normalization"]["mean"][0]) / 1e-300
+    out = tmp_path / "out"
+    argv = ["evaluate", "--model", str(model), "--dataset-path", str(dataset), "--out", str(out)]
+    assert run_cli(*argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: dataset value at row 0, column 0 exceeds the magnitude limit 1e+100: {value}\n"
+    )
+    assert not out.exists()
+
+
+def test_train_sigma_end_below_floor_exit4_before_any_epoch(workspace, tmp_path, capsys, no_work):
+    """Below 1e-100 the kernel's sigma**2 underflows to 0; the schedule
+    refuses such a sigma_end with the configuration, before any epoch."""
+    out = tmp_path / "out"
+    dataset = str(workspace / "gen" / "dataset.csv")
+    argv = ["train", "--dataset", dataset, "--set", "schedule.sigma_end=1e-200"]
+    assert run_cli(*argv, "--out", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "error: invalid configuration: sigma_end must be in [1e-100, sigma0], got 1e-200\n"
     )
     assert not out.exists()
 

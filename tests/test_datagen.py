@@ -61,8 +61,13 @@ def test_chain_validation():
             + ((0.5, 0.5),)
             + ChainSpec().joint_limits[2:],
         )
-    # both ends are finite, but the sampler's scale hi - lo is not
-    with pytest.raises(ValueError, match="limits for wrist span more than a float"):
+    # limits at the magnitude limit load; beyond it, the joint is named
+    wide = dataclasses.replace(
+        ChainSpec(), joint_limits=ChainSpec().joint_limits[:6] + ((-1e100, 1e100),)
+    )
+    assert wide.upper_limits[6] - wide.lower_limits[6] == 2e100
+    message = "wrist limit value at index 0 exceeds the magnitude limit 1e+100: -1e+308"
+    with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(
             ChainSpec(), joint_limits=ChainSpec().joint_limits[:6] + ((-1e308, 1e308),)
         )
@@ -263,7 +268,7 @@ HIT_CHAINS = {
     # float32 casts angles this large coarsely, so the screen's slack widens
     "limits-1e4": dataclasses.replace(ChainSpec(), joint_limits=((-1e4, 1e4),) * 7),
     # float32 casts these angles to inf and the screen sees NaN distances
-    "limits-1e300": dataclasses.replace(ChainSpec(), joint_limits=((-1e300, 1e300),) * 7),
+    "limits-1e100": dataclasses.replace(ChainSpec(), joint_limits=((-1e100, 1e100),) * 7),
     "scaled-1e-30": scaled_chain(1e-30),
     "scaled-1e30": scaled_chain(1e30),
 }
@@ -365,7 +370,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rejects_bad_shapes_and_values(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         save_csv(np.zeros((3, 6)), tmp_path / "x.csv")
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="dataset value at row 0, column 0 is not finite: nan"):
         save_csv(np.full((2, 7), np.nan), tmp_path / "x.csv")
 
 
@@ -382,7 +387,7 @@ def test_load_csv_parse_errors_name_location(tmp_path):
     with pytest.raises(ParseError, match=r"line 3, column 3"):
         load_csv(path)
     path.write_text(CSV_HEADER + "\n" + row.replace("0.1", "inf", 1) + "\n")
-    with pytest.raises(ParseError, match="non-finite"):
+    with pytest.raises(ParseError, match="line 2, column 1: value 'inf' is not finite"):
         load_csv(path)
 
 

@@ -425,27 +425,29 @@ def test_masked_metrics_match_unmasked_on_alltrue_unnormalized():
 @pytest.mark.parametrize("scope", BMU_SCOPES)
 @pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
 def test_huge_masked_off_weight_changes_no_metric_or_winner(scope, normalization):
-    """A masked-off weight is never read: one at 1e200, whose square
-    overflows, or one at -1.7e308 against a sample entry at +1.7e308, whose
-    difference overflows, leaves QE, TE and every winner as they are. The
-    neurons that do use that dimension overflow in the second case, as
-    they should."""
+    """A masked-off weight is never read: one at the magnitude limit 1e100,
+    or one at -1e100 against a sample entry at +1e100, leaves QE, TE and
+    every winner as they are, and nothing overflows. A weight beyond the
+    limit never enters a codebook."""
     mask = default_quadrant_mask()
     cb = init_codebook(LatticeSpec(), 7, 3)
     off = np.argwhere(~mask.mask)[0]
     cfg = MrfConfig(bmu_scope=scope, distance_normalization=normalization)
-    for weight, entry, over in ((1e200, None, "warn"), (-1.7e308, 1.7e308, "ignore")):
+    for weight, entry in ((1e100, None), (-1e100, 1e100)):
         w = cb.weights.copy()
         w[tuple(off)] = weight
         huge = Codebook(w, cb.lattice)
         X = np.random.default_rng(3).normal(size=(40, 7))
         if entry is not None:
             X[0, off[1]] = entry
-        with np.errstate(over=over):
-            for metric in (masked_quantization_error, masked_topographic_error):
-                assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
-            for x in X:
-                assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
+        for metric in (masked_quantization_error, masked_topographic_error):
+            assert metric(huge, X, mask, cfg) == metric(cb, X, mask, cfg)
+        for x in X:
+            assert mrf_find_bmu(x, huge, mask, cfg) == mrf_find_bmu(x, cb, mask, cfg)
+    w[tuple(off)] = 1e200
+    message = f"codebook value at row {off[0]}, column {off[1]} exceeds the magnitude limit"
+    with pytest.raises(ValueError, match=message):
+        Codebook(w, cb.lattice)
 
 
 def test_topographic_error_pair_is_the_stable_argsort_pair():
