@@ -324,14 +324,15 @@ def mrf_train(
     tiles = np.empty((n,) + W.shape)
     rows = list(tiles)
     total = schedule.epochs * n
-    alphas = schedule.alpha_values(total)
-    sigmas = schedule.sigma_values(total)
     log = TrainLog()
     for epoch in range(schedule.epochs):
-        t = slice(epoch * n, (epoch + 1) * n)
+        # one epoch of the schedule at a time: memory stays flat in epochs
+        steps = (total, epoch * n, (epoch + 1) * n)
+        alphas = schedule.alpha_values(*steps).tolist()
+        sigmas = schedule.sigma_values(*steps).tolist()
         np.multiply(X[:, None, :], Mf, out=tiles)
         samples = shuffle_order(schedule.seed, epoch, n).tolist()
-        for i, alpha, sigma in zip(samples, alphas[t].tolist(), sigmas[t].tolist()):
+        for i, alpha, sigma in zip(samples, alphas, sigmas):
             np.subtract(rows[i], W, out=step)
             _distances(step, norms, out=sq, dist=dist)
             for d_g, h_g, Dg in views:

@@ -105,29 +105,50 @@ class TrainSchedule:
             raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
         if not 0.0 < self.alpha_end <= self.alpha0:
             raise ValueError(f"alpha_end must be in (0, alpha0], got {self.alpha_end}")
+        _check_values([self.sigma0], "sigma0")
         if self.sigma0 <= 0.0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if not 1 / _MAX_MAGNITUDE <= self.sigma_end <= self.sigma0:
             raise ValueError(f"sigma_end must be in [1e-100, sigma0], got {self.sigma_end}")
         if self.decay not in DECAYS:
             raise ValueError(f"unknown decay {self.decay!r}, expected one of {DECAYS}")
+        # the last step's value (frac = 1) is the same for every total, and
+        # both curves are non-increasing, so a positive last value is enough
+        for name in ("alpha", "sigma"):
+            v0, v_end = getattr(self, f"{name}0"), getattr(self, f"{name}_end")
+            last = _decay_values(v0, v_end, self.decay, 2)[-1]
+            if not last > 0.0:
+                raise ValueError(
+                    f"{name}0={v0} and {name}_end={v_end} end the {self.decay} "
+                    f"{name} curve at {last}, not a positive value"
+                )
         _check_seed(self.seed)
 
-    def alpha_values(self, total_steps: int) -> np.ndarray:
-        return _decay_values(self.alpha0, self.alpha_end, self.decay, total_steps)
+    def alpha_values(
+        self, total_steps: int, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Learning rates at global steps start .. stop-1 of a run of
+        ``total_steps`` steps (default: every step)."""
+        return _decay_values(self.alpha0, self.alpha_end, self.decay, total_steps, start, stop)
 
-    def sigma_values(self, total_steps: int) -> np.ndarray:
-        return _decay_values(self.sigma0, self.sigma_end, self.decay, total_steps)
+    def sigma_values(
+        self, total_steps: int, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Neighborhood radii at global steps start .. stop-1, as ``alpha_values``."""
+        return _decay_values(self.sigma0, self.sigma_end, self.decay, total_steps, start, stop)
 
 
-def _decay_values(v0: float, v_end: float, decay: str, total: int) -> np.ndarray:
-    """Per-step parameter values for steps 0 .. total-1, monotone non-increasing."""
-    if total <= 0:
-        return np.empty(0, dtype=np.float64)
-    if total == 1:
+def _decay_values(
+    v0: float, v_end: float, decay: str, total: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Values at global steps start .. stop-1 (default: every step) of a
+    ``total``-step run, monotone non-increasing. Each step's value depends
+    only on its own index, so any range holds the bits of the whole curve."""
+    stop = total if stop is None else stop
+    if total <= 1:
         # a single step is both first and last; the start value wins
-        return np.array([v0], dtype=np.float64)
-    frac = np.arange(total, dtype=np.float64) / (total - 1)
+        return np.full(stop - start, v0, dtype=np.float64)
+    frac = np.arange(start, stop, dtype=np.float64) / (total - 1)
     if decay == "exponential":
         return v0 * (v_end / v0) ** frac
     return v0 + (v_end - v0) * frac

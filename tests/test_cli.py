@@ -13,6 +13,7 @@ import pytest
 
 from rfsom.cli import (
     FIELDS,
+    MAX_CELLS,
     MAX_NEURONS,
     Model,
     RunConfig,
@@ -440,6 +441,37 @@ def test_lattice_above_neuron_limit_exit4_before_any_work(workspace, tmp_path, c
     assert not out.exists()
 
 
+def test_dataset_above_cell_limit_exit4_before_any_work(workspace, tmp_path, capsys, monkeypatch):
+    """n x N x dims is known once the CSV is read: one cell above the limit,
+    train and evaluate exit 4 before they train, score or write; at the
+    limit, train runs. The limit is lowered to the 120-row dataset's 13440
+    cells, so nothing large is allocated."""
+    assert MAX_CELLS == 2**25
+    dataset = workspace / "gen" / "dataset.csv"
+    model = str(workspace / "run" / "model.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained or scored before the cell limit was checked")
+
+    out = tmp_path / "out"
+    message = (
+        "error: 120 samples x 16 neurons x 7 dims = 13440 distance cells, "
+        "more than the limit of 13439\n"
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr("rfsom.cli.MAX_CELLS", 120 * 16 * 7 - 1)
+        for name in ("mrf_train", "train", "masked_quantization_error"):
+            patch.setattr(f"rfsom.cli.{name}", refuse)
+        assert run_cli(*train_args(out, dataset)) == 4
+        assert capsys.readouterr().err == message
+        argv = ["evaluate", "--model", model, "--dataset-path", str(dataset), "--out", str(out)]
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+    monkeypatch.setattr("rfsom.cli.MAX_CELLS", 120 * 16 * 7)
+    assert run_cli(*train_args(out, dataset, epochs=1)) == 0
+
+
 def test_train_mask_grid_mismatch_exit4_without_output(workspace, tmp_path, capsys):
     quadrant = default_quadrant_mask()
     save_mask(ReceptiveFieldMask(2, 8, quadrant.mask, quadrant.groups), tmp_path / "2x8.mask")
@@ -560,21 +592,68 @@ def test_huge_model_weight_exit4_without_output(workspace, tmp_path, capsys, com
 
 
 def test_tiny_model_std_exit4_without_output(workspace, tmp_path, capsys):
-    """A std so small that the normalized data exceed the magnitude limit is
-    refused with the first such value's row and column, before any distance
-    or write."""
+    """A std at the 1e-100 floor, small enough that the normalized data exceed
+    the magnitude limit, is refused with the first such value's row and
+    column, before any distance or write."""
     doc = json.loads((workspace / "run" / "model.json").read_text())
-    doc["normalization"]["std"][0] = 1e-300
+    doc["normalization"]["std"][0] = 1e-100
     model = tmp_path / "tiny.json"
     model.write_text(json.dumps(doc))
     dataset = workspace / "gen" / "dataset.csv"
-    value = (load_csv(dataset)[0, 0] - doc["normalization"]["mean"][0]) / 1e-300
+    value = (load_csv(dataset)[0, 0] - doc["normalization"]["mean"][0]) / 1e-100
     out = tmp_path / "out"
     argv = ["evaluate", "--model", str(model), "--dataset-path", str(dataset), "--out", str(out)]
     assert run_cli(*argv) == 4
     assert capsys.readouterr().err == (
         f"error: dataset value at row 0, column 0 exceeds the magnitude limit 1e+100: {value}\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("std", [1e-320, 1e-300, 9.9e-101, 0.0])
+def test_model_std_below_floor_refused_where_read(workspace, tmp_path, capsys, std):
+    """A std below 1e-100 would overflow the z-scores (a subnormal one to
+    inf), so the model file is refused with its path before any data is
+    normalized or written."""
+    doc = json.loads((workspace / "run" / "model.json").read_text())
+    doc["normalization"]["std"][0] = std
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    dataset = str(workspace / "gen" / "dataset.csv")
+    for argv in (["evaluate", "--model", str(model), "--dataset-path", dataset],
+                 ["export", "--model", str(model)]):
+        assert run_cli(*argv, "--out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            f"error: {model}: malformed model: every std must be positive and at least "
+            f"1e-100, got {std} at index 0\n"
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("decay, settings, message", [
+    ("exponential", ("sigma0=1e300", "sigma_end=1e-100"),
+     "sigma0 value at index 0 exceeds the magnitude limit 1e+100: 1e+300"),
+    ("linear", ("sigma0=1e20", "sigma_end=1e-100"),
+     "sigma0=1e+20 and sigma_end=1e-100 end the linear sigma curve at 0.0, "
+     "not a positive value"),
+    ("linear", ("alpha0=1", "alpha_end=1e-320"),
+     "alpha0=1.0 and alpha_end=1e-320 end the linear alpha curve at 0.0, "
+     "not a positive value"),
+])
+def test_train_schedule_ending_at_zero_exit4_before_any_epoch(
+    workspace, tmp_path, capsys, no_work, decay, settings, message
+):
+    """A curve that would reach 0 (an exponential ratio that underflows, or a
+    linear end that rounds to 0) is refused with the configuration before
+    any epoch or write: sigma0 by the value limit, any other by its last
+    value, naming both keys."""
+    out = tmp_path / "out"
+    dataset = str(workspace / "gen" / "dataset.csv")
+    flags = [arg for setting in settings for arg in ("--set", f"schedule.{setting}")]
+    argv = ["train", "--dataset", dataset, "--set", f"schedule.decay={decay}", *flags]
+    assert run_cli(*argv, "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
     assert not out.exists()
 
 

@@ -4,10 +4,12 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rfsom import datagen
 from rfsom.datagen import (
     CSV_HEADER,
     JOINT_NAMES,
@@ -235,6 +237,39 @@ def test_synthesize_budget_boundary_is_the_nth_touch():
         synthesize_self_touch(chain, 100, seed=0, max_attempts=short)
 
 
+@pytest.mark.parametrize("batch", [1000, 16384, 65536])
+def test_synthesize_does_not_depend_on_the_batch_size(monkeypatch, batch):
+    """The RNG stream is read in order and every draw is tested on its own,
+    so rows, attempts and a SamplingError's count are the same for any batch
+    size, also when the budget ends inside a batch."""
+    chain = easy_chain(0.05)
+    want = synthesize_self_touch(chain, 100, seed=3)
+    monkeypatch.setattr(datagen, "_BATCH", batch)
+    got = synthesize_self_touch(chain, 100, seed=3)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.attempts == want.attempts
+    # 70500 draws end inside a batch of each size; their touches fall short
+    hits = touching_draws(chain, 0, 70_500)
+    assert hits < 100
+    with pytest.raises(SamplingError, match=f"accepted only {hits} of 100 samples within 70500 "):
+        synthesize_self_touch(chain, 100, seed=0, max_attempts=70_500)
+
+
+def test_synthesize_peak_memory_is_bounded():
+    """The sampler's traced peak is one batch's working arrays, whatever the
+    number of draws: 2.48 MiB measured for 20 rows at the default radius
+    (295797 draws) with 16384-draw batches, against 7.73 MiB with 65536-draw
+    ones (numpy 2.4)."""
+    tracemalloc.start()
+    try:
+        res = synthesize_self_touch(ChainSpec(), 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.attempts > 4 * 65536
+    assert peak < 4 * 2**20
+
+
 def test_synthesize_rejects_bad_arguments():
     with pytest.raises(ValueError):
         synthesize_self_touch(ChainSpec(), 0, seed=0)
@@ -453,5 +488,10 @@ def test_normalization_params_validation():
         NormalizationParams(np.zeros(3), np.ones(4))
     with pytest.raises(ValueError, match="finite"):
         NormalizationParams(np.array([np.inf]), np.ones(1))
+    # below 1e-100 a z-score of an in-limit value could overflow
+    for low in (1e-320, 9.9e-101):
+        with pytest.raises(ValueError, match=f"at least 1e-100, got {low} at index 1"):
+            NormalizationParams(np.zeros(2), np.array([1.0, low]))
+    assert NormalizationParams(np.zeros(1), np.array([1e-100])).std[0] == 1e-100
     with pytest.raises(ValueError, match="columns"):
         apply_normalization(np.zeros((2, 3)), NormalizationParams(np.zeros(2), np.ones(2)))

@@ -1,6 +1,8 @@
 """Receptive-field masks: construction, masked search, confined training,
 file round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,25 @@ def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope):
         assert out.weights.tobytes() == ref_w.tobytes()
         assert np.array(log.quantization_errors).tobytes() == np.array(ref_qe).tobytes()
         assert np.array(log.topographic_errors).tobytes() == np.array(ref_te).tobytes()
+
+
+def test_mrf_train_peak_memory_is_flat_in_epochs():
+    """The schedule is computed one epoch at a time, so the traced peak of a
+    100-epoch run is that of a 2-epoch run (386 and 388 KiB measured);
+    whole-run curves made it 458 KiB larger at this size."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(201, 7))
+    cb = init_codebook(LatticeSpec(), 7, 1)
+    mask = default_quadrant_mask()
+    peaks = []
+    for epochs in (2, 100):
+        tracemalloc.start()
+        try:
+            mrf_train(cb, X, mask, TrainSchedule(epochs=epochs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 2**10, peaks
 
 
 def test_mrf_train_per_group_confines_and_learns():

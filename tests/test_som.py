@@ -71,6 +71,44 @@ def test_schedule_endpoints_and_monotonicity(decay):
     assert sched.alpha_values(0).size == 0
 
 
+def test_schedule_refuses_curves_that_reach_zero():
+    """sigma0 passes the value limit, so an exponential ratio cannot
+    underflow; a curve whose last value rounds to 0 is refused by name."""
+    for sigma0, why in [(1e300, "exceeds the magnitude limit 1e\\+100: 1e\\+300"),
+                        (float("inf"), "is not finite: inf")]:
+        with pytest.raises(ValueError, match=f"sigma0 value at index 0 {why}"):
+            TrainSchedule(sigma0=sigma0, sigma_end=1e-100)
+    for kwargs, name in [
+        (dict(alpha_end=1e-320), "alpha0=0.5 and alpha_end=1e-320"),
+        (dict(sigma0=1e20, sigma_end=1e-100), "sigma0=1e\\+20 and sigma_end=1e-100"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} end the linear .* curve at 0.0"):
+            TrainSchedule(decay="linear", **kwargs)
+    # the same ends are positive under exponential decay, and at the limits
+    for sched in (TrainSchedule(alpha_end=1e-320), TrainSchedule(sigma0=1e100, sigma_end=1e-100)):
+        assert sched.alpha_values(1000)[-1] > 0.0
+        assert sched.sigma_values(1000)[-1] > 0.0
+
+
+@pytest.mark.parametrize("decay", ["exponential", "linear"])
+def test_schedule_ranges_hold_the_bits_of_the_whole_curve(decay):
+    """Training reads the schedule one epoch at a time; every epoch's range
+    equals the whole run's curve byte for byte, at totals that are not
+    multiples of a SIMD width too."""
+    steep = TrainSchedule(alpha0=0.9, alpha_end=1e-5, sigma0=7.5, sigma_end=1e-3, decay=decay)
+    for sched in (TrainSchedule(decay=decay), steep):
+        for n, epochs in [(1, 1), (1, 9), (3, 5), (7, 3), (13, 11), (61, 7), (200, 4), (3216, 3)]:
+            total = n * epochs
+            for values in (sched.alpha_values, sched.sigma_values):
+                curve = values(total)
+                for epoch in range(epochs):
+                    start, stop = epoch * n, (epoch + 1) * n
+                    got = values(total, start, stop)
+                    assert got.tobytes() == curve[start:stop].tobytes(), (n, epochs, epoch)
+    assert sched.alpha_values(1, 0, 1).tolist() == [sched.alpha0]
+    assert sched.alpha_values(0, 0, 0).size == 0
+
+
 def test_init_codebook_deterministic_and_in_range():
     lat = LatticeSpec()
     a = init_codebook(lat, 7, 42)
