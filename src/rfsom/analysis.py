@@ -187,8 +187,7 @@ def heatmap_pgm_bytes(grid: np.ndarray) -> tuple[bytes, bytes]:
         values = grid[connected]
         lo, hi = float(values.min()), float(values.max())
         if hi > lo:
-            scaled = np.rint((values - lo) / (hi - lo) * 255.0)
-            pixels[connected] = np.clip(scaled, 0, 255).astype(np.uint8)
+            pixels[connected] = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
         else:
             pixels[connected] = 255
     sidecar = np.where(connected, 255, 0).astype(np.uint8)

@@ -105,18 +105,11 @@ class RunConfig:
             )
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
 def _parse_vector(text: str, length: int) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != length:
         raise ValueError(f"expected {length} comma-separated values, got {len(parts)}")
-    return tuple(_parse_float(p) for p in parts)
+    return tuple(float(p) for p in parts)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -145,7 +138,7 @@ def _format_vector(values) -> str:
 
 # (parser, formatter) pairs shared by the table rows
 _INT = (int, str)
-_FLOAT = (_parse_float, format_float)
+_FLOAT = (float, format_float)
 _STR = (str, str)
 _VECTOR3 = (lambda text: _parse_vector(text, 3), _format_vector)
 _LIMITS = (lambda text: _parse_vector(text, 2), _format_vector)

@@ -4,7 +4,8 @@ A two-link arm hangs off a torso-fixed shoulder; a face target point rides on
 a two-joint head. Configurations are drawn uniformly inside the joint limits
 and kept when the hand lands within the touch radius of the face target.
 All geometry lives in ``ChainSpec`` and is an artifact default, not recorded
-robot data. Joint limits, datasets and normalization parameters pass the
+robot data. Joint limits, link lengths, the shoulder offset, the face
+target, the touch radius, datasets and normalization parameters pass the
 library's one value check: finite and at most 1e100 in magnitude.
 
 The sampler draws raw doubles and scales them in place, which gives the
@@ -71,6 +72,8 @@ class ChainSpec:
     Angles are radians throughout; lengths and offsets are meters. The hand
     contact point sits on the wrist rotation axis, so the wrist angle enters
     the chain but cannot move the contact point under the default axes.
+    Every limit, length, offset, target coordinate and the radius is finite
+    and at most 1e100 in magnitude, so the float64 kinematics cannot overflow.
     """
 
     joint_limits: tuple[tuple[float, float], ...] = (
@@ -98,6 +101,8 @@ class ChainSpec:
                 raise ValueError(f"degenerate limits for {name}: [{lo}, {hi}]")
         if len(self.shoulder_offset) != 3 or len(self.face_target) != 3:
             raise ValueError("shoulder_offset and face_target must be 3-vectors")
+        for name in ("shoulder_offset", "upper_arm", "forearm_hand", "face_target", "touch_radius"):
+            _check_values(np.ravel(getattr(self, name)), name)
         if self.upper_arm <= 0.0 or self.forearm_hand <= 0.0:
             raise ValueError("link lengths must be positive")
         if not self.touch_radius > 0.0:
@@ -365,7 +370,8 @@ class NormalizationParams:
 def fit_normalization(dataset) -> NormalizationParams:
     """Per-column mean and population (1/N) standard deviation.
 
-    Needs at least 2 rows; a constant column cannot be z-scored and raises
+    Needs at least 2 rows; a constant column, or one whose std is below the
+    floor 1e-100 of ``NormalizationParams``, cannot be z-scored and raises
     an error naming the joint.
     """
     X = np.asarray(dataset, dtype=np.float64)
@@ -374,12 +380,14 @@ def fit_normalization(dataset) -> NormalizationParams:
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 rows to fit normalization, got {X.shape[0]}")
     X = _check_values(X, "dataset")
+    std = X.std(axis=0, ddof=0)
     # detect constant columns by exact range, not std == 0: rounding in the
     # mean can leave a constant column with a tiny nonzero std
     constant = X.max(axis=0) == X.min(axis=0)
-    for j in np.flatnonzero(constant):
-        raise ValueError(f"{joint_names(X.shape[1])[j]} is constant; cannot normalize")
-    return NormalizationParams(X.mean(axis=0), X.std(axis=0, ddof=0))
+    for j in np.flatnonzero(constant | (std < 1 / _MAX_MAGNITUDE)):
+        why = "is constant" if constant[j] else f"has std {std[j]}, below {1 / _MAX_MAGNITUDE:g}"
+        raise ValueError(f"{joint_names(X.shape[1])[j]} {why}; cannot normalize")
+    return NormalizationParams(X.mean(axis=0), std)
 
 
 def apply_normalization(data, params: NormalizationParams) -> np.ndarray:

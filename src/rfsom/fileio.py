@@ -40,11 +40,7 @@ def read_lines(path) -> list[str]:
 
 
 def format_float(x: float) -> str:
-    """Shortest-ish decimal form that round-trips float64 exactly."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Shortest-ish decimal form that round-trips float64 exactly (or nan, inf, -inf)."""
     return format(float(x), ".17g")
 
 

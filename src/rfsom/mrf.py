@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import ParseError, atomic_write_text, read_lines
-from .lattice import LatticeSpec, distance_matrix, neighborhood_weight
+from .lattice import distance_matrix, neighborhood_weight
 from .som import (
     Codebook,
     TrainLog,
@@ -120,10 +120,6 @@ class ReceptiveFieldMask:
     def dims(self) -> int:
         return self.mask.shape[1]
 
-    @property
-    def active_counts(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
-
     def group_indices(self) -> dict[str, np.ndarray]:
         """Neuron indices per base group, ascending within each group.
 
@@ -180,13 +176,6 @@ def default_quadrant_mask() -> ReceptiveFieldMask:
     return ReceptiveFieldMask(rows, cols, mask, tuple(labels))
 
 
-def full_mask(lattice: LatticeSpec, dims: int) -> ReceptiveFieldMask:
-    """All-true receptive fields: every neuron sees every input dimension."""
-    return ReceptiveFieldMask(
-        lattice.rows, lattice.cols, np.ones((lattice.n_neurons, dims), dtype=bool)
-    )
-
-
 def _check_mask(mask: ReceptiveFieldMask, codebook: Codebook) -> None:
     lattice = codebook.lattice
     if (mask.rows, mask.cols, mask.dims) != (lattice.rows, lattice.cols, codebook.dims):
@@ -198,7 +187,7 @@ def _check_mask(mask: ReceptiveFieldMask, codebook: Codebook) -> None:
 
 def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     if cfg.distance_normalization == "rms-per-active-dim":
-        return np.sqrt(mask.active_counts.astype(np.float64))
+        return np.sqrt(mask.mask.sum(axis=1, dtype=np.float64))
     return None
 
 
@@ -224,16 +213,14 @@ def _topographic_error(d: np.ndarray, D: np.ndarray) -> float:
     """Fraction of rows of a sample-distance matrix whose two nearest neurons
     are not lattice-adjacent (ties break to the smaller index).
 
-    The pair is the first two of a stable argsort, found by two argmins over
-    the distances' bits. A distance is +0.0 or more, and such doubles order
-    like their bits; the canonical NaN's bits lie above +inf's, where argsort
-    puts every NaN.
+    The pair is the first two of a stable argsort: the argmin, then the
+    argmin of a copy with that entry set to +inf. Every distance is finite,
+    so the second argmin never returns the first.
     """
-    key = np.where(np.isnan(d), np.nan, d).view(np.uint64)
-    rows = np.arange(key.shape[0])
-    first = key.argmin(axis=1)
-    key[rows, first] = np.iinfo(np.uint64).max
-    second = key.argmin(axis=1)
+    first = d.argmin(axis=1)
+    rest = d.copy()
+    rest[np.arange(d.shape[0]), first] = np.inf
+    second = rest.argmin(axis=1)
     return float((D[first, second] != 1).mean())
 
 

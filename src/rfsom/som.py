@@ -193,9 +193,11 @@ def _as_masked(codebook: Codebook):
     """The all-true mask and plain Euclidean configuration under which the
     masked map in ``rfsom.mrf`` is this map (imported here: ``rfsom.mrf``
     imports the codebook types from this module)."""
-    from .mrf import MrfConfig, full_mask
+    from .mrf import MrfConfig, ReceptiveFieldMask
 
-    mask = full_mask(codebook.lattice, codebook.dims)
+    lattice = codebook.lattice
+    full = np.ones((lattice.n_neurons, codebook.dims), dtype=bool)
+    mask = ReceptiveFieldMask(lattice.rows, lattice.cols, full)
     return mask, MrfConfig("global-masked", "unnormalized")
 
 

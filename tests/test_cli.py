@@ -28,7 +28,7 @@ from rfsom.cli import (
     run_config_items,
     save_model,
 )
-from rfsom.datagen import joint_names, load_csv, save_csv
+from rfsom.datagen import NormalizationParams, joint_names, load_csv, save_csv
 from rfsom.fileio import ParseError
 from rfsom.lattice import LatticeSpec
 from rfsom.mrf import MrfConfig, ReceptiveFieldMask, default_quadrant_mask, save_mask
@@ -323,6 +323,36 @@ def test_generate_overflowing_limit_span_exit4_before_sampling(tmp_path, capsys,
         assert not out.exists()
 
 
+# generate options -> the configuration error they give, before any draw
+BAD_CHAINS = {
+    # float64 kinematics of this chain overflow, so it is refused before sampling
+    "overflowing-geometry": (
+        ["--set", "chain.upper_arm=1e300", "--set", "chain.face_target=1e300,0,0",
+         "--n", "1", "--max-attempts", "100000"],
+        "upper_arm value at index 0 exceeds the magnitude limit 1e+100: 1e+300",
+    ),
+    "infinite-radius": (
+        ["--touch-radius", "inf"], "touch_radius value at index 0 is not finite: inf"
+    ),
+    "nan-target": (
+        ["--face-target", "0,nan,0"], "face_target value at index 1 is not finite: nan"
+    ),
+    "short-target": (
+        ["--set", "chain.face_target=1,2"],
+        "chain.face_target='1,2': expected 3 comma-separated values, got 2",
+    ),
+    "two-axes": (["--set", "chain.axes=x,y"], "need 7 joint axes"),
+}
+
+
+@pytest.mark.parametrize("options, message", BAD_CHAINS.values(), ids=BAD_CHAINS.keys())
+def test_generate_bad_chain_exit4_before_sampling(tmp_path, capsys, no_work, options, message):
+    out = tmp_path / "never"
+    assert run_cli("generate", *options, "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_out_exit4_before_any_work(workspace, capsys, no_work):
     dataset = str(workspace / "gen" / "dataset.csv")
     for argv in (["generate", "--n", "5", *EASY], ["train", "--dataset", dataset]):
@@ -384,6 +414,8 @@ def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
 
 def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     out = tmp_path / "nope"
+    assert run_cli("train", "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: no dataset configured (dataset=<csv path>)\n"
     assert run_cli(*train_args(out, tmp_path / "missing.csv")) == 4
     assert not out.exists()
     one_row = tmp_path / "one_row.csv"
@@ -412,6 +444,15 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     # the mask is read before the dataset, so a one-row dataset does not hide it
     assert run_cli(*train_args(out, one_row, extra=("--mask", str(bad_mask)))) == 4
     assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
+    assert not out.exists()
+    # a joint varying only between 1e-200 and 2e-200 has a std that underflows to 0
+    data = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 7))
+    data[:, 3] = np.linspace(1e-200, 2e-200, 20)
+    save_csv(data, tmp_path / "tiny.csv")
+    assert run_cli(*train_args(out, tmp_path / "tiny.csv")) == 4
+    assert capsys.readouterr().err == (
+        "error: shoulder_pitch has std 0.0, below 1e-100; cannot normalize\n"
+    )
     assert not out.exists()
 
 
@@ -531,6 +572,21 @@ def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
 
 
 def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
+    """A dataset with another header, or of 7 joints for a 3-dim model, is
+    refused before any score or write."""
+    cfg = build_run_config({"mode": "som"})
+    model = Model(
+        "som", init_codebook(cfg.lattice, 3, 0), None, cfg.mrf_config,
+        NormalizationParams(np.zeros(3), np.ones(3)), cfg.schedule, joint_names(3),
+        run_config_items(cfg),
+    )
+    save_model(model, tmp_path / "model.json")
+    out = tmp_path / "out"
+    dataset = str(workspace / "gen" / "dataset.csv")
+    argv = ["--model", str(tmp_path / "model.json"), "--dataset-path", dataset]
+    assert run_cli("evaluate", *argv, "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: dataset has 7 columns, model expects 3\n"
+    assert not out.exists()
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c,d,e,f\n0,0,0,0,0,0\n")
     code = run_cli(
@@ -640,6 +696,7 @@ def test_model_std_below_floor_refused_where_read(workspace, tmp_path, capsys, s
     ("linear", ("alpha0=1", "alpha_end=1e-320"),
      "alpha0=1.0 and alpha_end=1e-320 end the linear alpha curve at 0.0, "
      "not a positive value"),
+    ("exponential", ("sigma0=-1",), "sigma0 must be positive, got -1.0"),
 ])
 def test_train_schedule_ending_at_zero_exit4_before_any_epoch(
     workspace, tmp_path, capsys, no_work, decay, settings, message
@@ -647,7 +704,8 @@ def test_train_schedule_ending_at_zero_exit4_before_any_epoch(
     """A curve that would reach 0 (an exponential ratio that underflows, or a
     linear end that rounds to 0) is refused with the configuration before
     any epoch or write: sigma0 by the value limit, any other by its last
-    value, naming both keys."""
+    value, naming both keys. A curve that starts below 0 is refused by its
+    start."""
     out = tmp_path / "out"
     dataset = str(workspace / "gen" / "dataset.csv")
     flags = [arg for setting in settings for arg in ("--set", f"schedule.{setting}")]
@@ -733,6 +791,11 @@ def test_export_corrupt_model_exit4(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     bad.write_text('{"format": "something-else"}')
     assert run_cli("export", "--model", str(bad), "--out", str(tmp_path / "o")) == 4
+    capsys.readouterr()
+    bad.write_text("[]")
+    assert run_cli("export", "--model", str(bad), "--out", str(tmp_path / "o")) == 4
+    assert capsys.readouterr().err == f"error: {bad}: model document must be a JSON object\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_unwritable_output_exit5(workspace, tmp_path):

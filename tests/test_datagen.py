@@ -75,12 +75,38 @@ def test_chain_validation():
         )
     with pytest.raises(ValueError, match="limit pairs"):
         dataclasses.replace(ChainSpec(), joint_limits=((0.0, 1.0),) * 6)
+    with pytest.raises(ValueError, match="shoulder_offset and face_target must be 3-vectors"):
+        dataclasses.replace(ChainSpec(), face_target=(0.05, 0.0))
     with pytest.raises(ValueError, match="positive"):
         dataclasses.replace(ChainSpec(), upper_arm=0.0)
     with pytest.raises(ValueError, match="touch_radius"):
         dataclasses.replace(ChainSpec(), touch_radius=-0.1)
     with pytest.raises(ValueError, match="axis for wrist"):
         dataclasses.replace(ChainSpec(), joint_axes=("z", "y", "z", "y", "z", "x", "w"))
+
+
+# each geometry field -> a valid value with ``bad`` at the index it names
+GEOMETRY = {
+    "shoulder_offset": lambda bad: ((0.0, bad, 0.1), 1),
+    "upper_arm": lambda bad: (bad, 0),
+    "forearm_hand": lambda bad: (bad, 0),
+    "face_target": lambda bad: ((0.05, 0.0, bad), 2),
+    "touch_radius": lambda bad: (bad, 0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+@pytest.mark.parametrize("field", GEOMETRY)
+def test_chain_geometry_obeys_the_value_rule(field, bad):
+    """Lengths, offsets, the face target and the touch radius are refused,
+    by name and index, unless finite and at most 1e100 in magnitude; the
+    limit itself loads."""
+    value, at = GEOMETRY[field](bad)
+    why = "exceeds the magnitude limit 1e+100" if math.isfinite(bad) else "is not finite"
+    with pytest.raises(ValueError, match=re.escape(f"{field} value at index {at} {why}: {bad}")):
+        dataclasses.replace(ChainSpec(), **{field: value})
+    value, _ = GEOMETRY[field](1e100)
+    assert getattr(dataclasses.replace(ChainSpec(), **{field: value}), field) == value
 
 
 # ------------------------------------------------------------- forward kinematics
@@ -168,8 +194,9 @@ def test_synthesize_max_attempts_never_changes_rows():
 
 
 def test_synthesize_infinite_radius_accepts_everything():
-    """Acceptance is vacuous, so the rows are the raw draws: two batches of
-    doubles scaled in place must equal ``Generator.uniform`` byte for byte."""
+    """At the largest radius, 1e100, acceptance is vacuous, so the rows are
+    the raw draws: two batches of doubles scaled in place must equal
+    ``Generator.uniform`` byte for byte."""
     default = ChainSpec()
     narrow = tuple((lo, lo + 1e-6) for lo, _ in default.joint_limits)
     chains = [
@@ -178,7 +205,7 @@ def test_synthesize_infinite_radius_accepts_everything():
         dataclasses.replace(default, joint_limits=narrow),
     ]
     for chain in chains:
-        chain = dataclasses.replace(chain, touch_radius=math.inf)
+        chain = dataclasses.replace(chain, touch_radius=1e100)
         for seed in range(4):
             res = synthesize_self_touch(chain, 2 * 65536, seed=seed)
             assert res.acceptance_rate == 1.0
@@ -297,7 +324,7 @@ HIT_CHAINS = {
     "permuted-axes": dataclasses.replace(
         ChainSpec(), joint_axes=("x", "z", "y", "z", "x", "y", "z"), touch_radius=0.01
     ),
-    "r-inf": easy_chain(math.inf),
+    "r-1e100": easy_chain(1e100),
     # a wrist turn about y moves the contact point, so the sampler rotates it
     "wrist-y": dataclasses.replace(ChainSpec(), joint_axes=("z", "y", "z", "y", "z", "x", "y")),
     # float32 casts angles this large coarsely, so the screen's slack widens
@@ -471,6 +498,8 @@ def test_normalization_round_trip_and_moments():
 
 
 def test_fit_normalization_constant_column_names_joint():
+    """A constant column, or one that varies but whose std is below the
+    1e-100 floor (at 1e-200 it underflows to 0), is refused by joint name."""
     X = np.random.default_rng(16).normal(size=(10, 7))
     X[:, 6] = 0.42
     with pytest.raises(ValueError, match="wrist"):
@@ -479,6 +508,16 @@ def test_fit_normalization_constant_column_names_joint():
         fit_normalization(X[:, 3:])
     with pytest.raises(ValueError, match="at least 2 rows"):
         fit_normalization(X[:1])
+    with pytest.raises(ValueError, match=re.escape("dataset must be 2-D, got shape (7,)")):
+        fit_normalization(X[0])
+    X = np.random.default_rng(16).normal(size=(20, 7))
+    for low in (1e-200, 1e-150):
+        X[:, 3] = np.linspace(low, 2 * low, 20)
+        std = X.std(axis=0)[3]
+        assert std < 1e-100 and (std == 0.0) == (low == 1e-200)
+        message = f"shoulder_pitch has std {std}, below 1e-100; cannot normalize"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_normalization(X)
 
 
 def test_normalization_params_validation():
@@ -493,5 +532,7 @@ def test_normalization_params_validation():
         with pytest.raises(ValueError, match=f"at least 1e-100, got {low} at index 1"):
             NormalizationParams(np.zeros(2), np.array([1.0, low]))
     assert NormalizationParams(np.zeros(1), np.array([1e-100])).std[0] == 1e-100
-    with pytest.raises(ValueError, match="columns"):
-        apply_normalization(np.zeros((2, 3)), NormalizationParams(np.zeros(2), np.ones(2)))
+    message = "data has 3 columns, normalization has 2"
+    for transform in (apply_normalization, invert_normalization):
+        with pytest.raises(ValueError, match=message):
+            transform(np.zeros((2, 3)), NormalizationParams(np.zeros(2), np.ones(2)))

@@ -29,6 +29,9 @@ def test_row_major_index_round_trip():
     for i in range(spec.n_neurons):
         assert spec.index_of(spec.coord_of(i)) == i
     assert spec.coord_of(7) == (1, 2)
+    for index in (-1, 15):
+        with pytest.raises(ValueError, match=f"neuron index {index} out of range for 3x5 lattice"):
+            spec.coord_of(index)
 
 
 def test_invalid_spec_rejected():

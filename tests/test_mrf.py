@@ -1,6 +1,7 @@
 """Receptive-field masks: construction, masked search, confined training,
 file round-trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,13 @@ def test_mask_invariants_enforced():
         ReceptiveFieldMask(2, 2, np.ones((3, 3), dtype=bool))
     with pytest.raises(ValueError):
         ReceptiveFieldMask(2, 2, np.ones((4, 3), dtype=bool), groups=("a", "b"))
+    with pytest.raises(ValueError, match="mask grid must be at least 1x1, got 0x2"):
+        ReceptiveFieldMask(0, 2, np.ones((0, 3), dtype=bool))
+    with pytest.raises(ValueError, match=r"mask entries must be boolean \(0/1\)"):
+        ReceptiveFieldMask(2, 2, np.full((4, 3), 2))
+    for label in ("", "a b", "a\nb"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid group label {label!r}")):
+            ReceptiveFieldMask(2, 2, np.ones((4, 3), dtype=bool), groups=("a", "a", "a", label))
 
 
 @pytest.mark.parametrize(
@@ -473,22 +481,13 @@ def test_huge_masked_off_weight_changes_no_metric_or_winner(scope, normalization
 
 def test_topographic_error_pair_is_the_stable_argsort_pair():
     """Each row's nearest pair equals a stable argsort's first two entries,
-    on ties, a lone finite entry, all +inf and NaN rows alike: the lattice
-    table marks only that ordered pair adjacent."""
-    inf, nan = np.inf, np.nan
+    on ties and zeros alike: the lattice table marks only that ordered pair
+    adjacent. Distances are finite, as every value the map takes is."""
     rows = [
         [0.5, 0.5, 0.5, 0.5],
         [0.7, 0.2, 0.2, 0.9],
         [0.3, 0.1, 0.3, 0.1],
         [0.0, 0.0, 1.0, 2.0],
-        [inf, inf, 0.4, inf],
-        [0.4, inf, inf, inf],
-        [inf, inf, inf, inf],
-        [nan, 0.3, nan, 0.1],
-        [nan, inf, 0.2, nan],
-        [nan, inf, nan, inf],
-        [nan, nan, nan, 0.6],
-        [nan, nan, nan, nan],
     ]
     rng = np.random.default_rng(5)
     rows += rng.integers(0, 3, size=(40, 4)).astype(np.float64).tolist()
@@ -556,6 +555,9 @@ def test_load_mask_parse_errors_name_lines(tmp_path):
         load_mask(path)
     path.write_text("1 2 3\n1 0 1\n")
     with pytest.raises(ParseError, match="expected 2 mask rows"):
+        load_mask(path)
+    path.write_text("1 0 3\n")
+    with pytest.raises(ParseError, match="line 1: rows, cols, dims must be positive"):
         load_mask(path)
     path.write_text("1 2 2\n1 0\n0 1\n#group a\n")
     with pytest.raises(ParseError, match="#group"):

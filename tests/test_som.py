@@ -38,6 +38,8 @@ def test_codebook_validation():
         Codebook(np.zeros((3, 2)), lat)
     with pytest.raises(ValueError):
         Codebook(np.full((4, 2), np.nan), lat)
+    with pytest.raises(ValueError, match=r"codebook weights must be 2-D, got shape \(4,\)"):
+        Codebook(np.zeros(4), lat)
     cb = Codebook(np.zeros((4, 2)), lat)
     assert cb.weights.dtype == np.float64
 
@@ -246,6 +248,10 @@ def test_train_rejects_empty_dataset():
     cb = init_codebook(LatticeSpec(), 3, 5)
     with pytest.raises(ValueError):
         train(cb, np.empty((0, 3)), TrainSchedule(epochs=1))
+    with pytest.raises(ValueError, match=r"dataset has shape \(5, 2\), expected \(n, 3\)"):
+        train(cb, np.zeros((5, 2)), TrainSchedule(epochs=1))
+    with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
+        init_codebook(LatticeSpec(), 0, 5)
 
 
 def test_train_quantization_error_halves_on_uniform_square():
