@@ -68,11 +68,6 @@ DEFAULT_MASK = "default"
 # deep inside a command.
 MAX_NEURONS = 1024
 
-# Largest n x N x dims a dataset of n rows may give: training's tile buffer
-# and scoring's distance buffer each hold that many doubles (256 MiB here).
-# n is known only once the CSV is read, so train and evaluate check it then.
-MAX_CELLS = 2**25
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -424,15 +419,6 @@ def load_model(path) -> Model:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _check_cells(n: int, neurons: int, dims: int) -> None:
-    cells = n * neurons * dims
-    if cells > MAX_CELLS:
-        raise ValueError(
-            f"{n} samples x {neurons} neurons x {dims} dims = {cells} distance cells, "
-            f"more than the limit of {MAX_CELLS}"
-        )
-
-
 def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
     if cfg.mask == DEFAULT_MASK:
         return default_quadrant_mask()
@@ -476,7 +462,6 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ValueError("no dataset configured (dataset=<csv path>)")
     mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     raw = load_csv(cfg.dataset)
-    _check_cells(raw.shape[0], cfg.lattice.n_neurons, raw.shape[1])
     if raw.shape[0] < 2:
         raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
     dims = raw.shape[1]
@@ -523,14 +508,13 @@ def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
 def _has_body_groups(mask: ReceptiveFieldMask) -> bool:
     """Whether the cluster separation ratio is defined: every body group
     labels some neuron."""
-    return mask.groups is not None and all(g in mask.group_order() for g in BODY_GROUPS)
+    return mask.groups is not None and set(BODY_GROUPS) <= mask.group_indices().keys()
 
 
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
     raw = load_csv(dataset_path)
-    _check_cells(raw.shape[0], model.codebook.n_neurons, model.codebook.dims)
     if raw.shape[1] != model.codebook.dims:
         raise ValueError(
             f"dataset has {raw.shape[1]} columns, model expects {model.codebook.dims}"

@@ -133,10 +133,6 @@ class ReceptiveFieldMask:
         order = [g for g in BODY_GROUPS if g in seen] + [g for g in seen if g not in BODY_GROUPS]
         return {g: np.flatnonzero(homes == g) for g in order}
 
-    def group_order(self) -> tuple[str, ...]:
-        """Distinct base groups in ``group_indices`` order."""
-        return tuple(self.group_indices())
-
 
 def default_quadrant_mask() -> ReceptiveFieldMask:
     """The built-in 16-neuron x 7-joint mask.
@@ -191,6 +187,11 @@ def _norms(mask: ReceptiveFieldMask, cfg: MrfConfig) -> np.ndarray | None:
     return None
 
 
+# doubles per chunk buffer (1 MiB), or one sample's N x dims where that is more:
+# training and the scorer take samples this many at a time, not all n at once
+_CHUNK = 2**17
+
+
 def _distances(diff: np.ndarray, norms, out=None, dist=None) -> np.ndarray:
     """Masked distances from masked-sample-minus-masked-weight differences of
     shape (..., neurons, dims); the last output axis runs over neurons. If
@@ -209,26 +210,41 @@ def _distances(diff: np.ndarray, norms, out=None, dist=None) -> np.ndarray:
     return d
 
 
-def _topographic_error(d: np.ndarray, D: np.ndarray) -> float:
-    """Fraction of rows of a sample-distance matrix whose two nearest neurons
-    are not lattice-adjacent (ties break to the smaller index).
-
-    The pair is the first two of a stable argsort: the argmin, then the
-    argmin of a copy with that entry set to +inf. Every distance is finite,
-    so the second argmin never returns the first.
-    """
+def _nearest_pair(d: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a chunk of sample distances: the nearest distance, and
+    whether the two nearest neurons are not lattice-adjacent. The pair is
+    the first two of a stable argsort: the argmin, then the argmin with that
+    entry overwritten by +inf (every distance is finite, so it never returns
+    the first); ties break to the smaller index."""
+    rows = np.arange(d.shape[0])
     first = d.argmin(axis=1)
-    rest = d.copy()
-    rest[np.arange(d.shape[0]), first] = np.inf
-    second = rest.argmin(axis=1)
-    return float((D[first, second] != 1).mean())
+    nearest = d[rows, first]
+    d[rows, first] = np.inf
+    return nearest, D[first, d.argmin(axis=1)] != 1
 
 
-def _epoch_metrics(d: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """(quantization error, topographic error) from a sample-distance matrix;
-    a single-neuron map logs topographic error 0."""
-    qe = float(d.min(axis=1).mean())
-    return qe, _topographic_error(d, D) if d.shape[1] > 1 else 0.0
+def _score(X: np.ndarray, W: np.ndarray, mask: ReceptiveFieldMask, cfg: MrfConfig, D, out=None):
+    """(quantization error, topographic error) of samples ``X`` against the
+    weights ``W`` in row-major order, under ``mask`` and ``cfg``; a
+    single-neuron map scores topographic error 0. Samples are scored a chunk
+    at a time, in ``out`` if given; QE is the mean of the concatenated
+    per-sample minima and TE that of a boolean array, so neither depends on
+    the chunk size."""
+    M = mask.mask.astype(np.float64)
+    W = W * M
+    norms = _norms(mask, cfg)
+    n = X.shape[0]
+    size = max(1, _CHUNK // W.size)
+    diff = np.empty((min(n, size),) + W.shape) if out is None else out
+    nearest = np.empty(n)
+    apart = np.empty(n, dtype=bool)
+    for start in range(0, n, size):
+        chunk = slice(start, start + size)
+        buf = diff[: len(X[chunk])]
+        np.multiply(X[chunk, None, :], M, out=buf)
+        buf -= W
+        nearest[chunk], apart[chunk] = _nearest_pair(_distances(buf, norms, out=buf), D)
+    return float(nearest.mean()), float(apart.mean()) if W.shape[0] > 1 else 0.0
 
 
 def mrf_find_bmu(
@@ -241,7 +257,8 @@ def mrf_find_bmu(
     Ties break to the smallest row-major index either way.
     """
     x = _as_sample(sample, codebook.dims)
-    d = _dataset_distances(codebook, x[None], mask, cfg)[0]
+    _check_mask(mask, codebook)
+    d = _distances(x * mask.mask - codebook.weights * mask.mask, _norms(mask, cfg))
     if cfg.bmu_scope == "global-masked":
         return int(np.argmin(d))
     return {g: int(idx[np.argmin(d[idx])]) for g, idx in mask.group_indices().items()}
@@ -306,29 +323,32 @@ def mrf_train(
     step = np.empty_like(W)
     sq = np.empty_like(W)
     n = X.shape[0]
-    # every sample repeated once per neuron and masked: each step subtracts
-    # arrays of one shape, and the epoch's metrics reuse the buffer
-    tiles = np.empty((n,) + W.shape)
+    chunk = max(1, _CHUNK // W.size)
+    # one chunk of the epoch's samples, each repeated once per neuron and
+    # masked: each step subtracts arrays of one shape
+    tiles = np.empty((min(n, chunk),) + W.shape)
     rows = list(tiles)
     total = schedule.epochs * n
     log = TrainLog()
     for epoch in range(schedule.epochs):
         # one epoch of the schedule at a time: memory stays flat in epochs
         steps = (total, epoch * n, (epoch + 1) * n)
-        alphas = schedule.alpha_values(*steps).tolist()
-        sigmas = schedule.sigma_values(*steps).tolist()
-        np.multiply(X[:, None, :], Mf, out=tiles)
-        samples = shuffle_order(schedule.seed, epoch, n).tolist()
-        for i, alpha, sigma in zip(samples, alphas, sigmas):
-            np.subtract(rows[i], W, out=step)
-            _distances(step, norms, out=sq, dist=dist)
-            for d_g, h_g, Dg in views:
-                np.multiply(neighborhood_weight(Dg[d_g.argmin()], sigma), alpha, out=h_g)
-            step *= h_col
-            W += step
-        np.subtract(tiles, W, out=tiles)
-        d = _distances(tiles, norms, out=tiles)
-        qe, te = _epoch_metrics(d[:, back], D)
+        # the zip below takes a tile first, so a chunk's end consumes no step
+        alphas = iter(schedule.alpha_values(*steps).tolist())
+        sigmas = iter(schedule.sigma_values(*steps).tolist())
+        samples = shuffle_order(schedule.seed, epoch, n)
+        for start in range(0, n, chunk):
+            idx = samples[start : start + chunk]
+            np.multiply(X[idx, None, :], Mf, out=tiles[: len(idx)])
+            for tile, alpha, sigma in zip(rows, alphas, sigmas):
+                np.subtract(tile, W, out=step)
+                _distances(step, norms, out=sq, dist=dist)
+                for d_g, h_g, Dg in views:
+                    np.multiply(neighborhood_weight(Dg[d_g.argmin()], sigma), alpha, out=h_g)
+                step *= h_col
+                W += step
+        # scored in row-major order, so ties break to the smallest index
+        qe, te = _score(X, W[back], mask, cfg, D, out=tiles)
         log.quantization_errors.append(qe)
         log.topographic_errors.append(te)
     W = W[back]
@@ -336,22 +356,13 @@ def mrf_train(
     return Codebook(W, codebook.lattice), log
 
 
-def _dataset_distances(
-    codebook: Codebook, dataset, mask: ReceptiveFieldMask, cfg: MrfConfig
-) -> np.ndarray:
-    _check_mask(mask, codebook)
-    X = _as_dataset(dataset, codebook.dims)
-    M = mask.mask
-    diff = np.multiply(X[:, None, :], M)
-    diff -= codebook.weights * M
-    return _distances(diff, _norms(mask, cfg), out=diff)
-
-
 def masked_quantization_error(
     codebook: Codebook, dataset, mask: ReceptiveFieldMask, cfg: MrfConfig = MrfConfig()
 ) -> float:
     """Mean masked distance from each sample to its best-matching unit."""
-    return float(_dataset_distances(codebook, dataset, mask, cfg).min(axis=1).mean())
+    _check_mask(mask, codebook)
+    X = _as_dataset(dataset, codebook.dims)
+    return _score(X, codebook.weights, mask, cfg, distance_matrix(codebook.lattice))[0]
 
 
 def masked_topographic_error(
@@ -363,8 +374,9 @@ def masked_topographic_error(
     """
     if codebook.n_neurons < 2:
         raise ValueError("topographic error needs at least 2 neurons")
-    d = _dataset_distances(codebook, dataset, mask, cfg)
-    return _topographic_error(d, distance_matrix(codebook.lattice))
+    _check_mask(mask, codebook)
+    X = _as_dataset(dataset, codebook.dims)
+    return _score(X, codebook.weights, mask, cfg, distance_matrix(codebook.lattice))[1]
 
 
 def save_mask(mask: ReceptiveFieldMask, path) -> None:

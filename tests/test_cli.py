@@ -13,7 +13,6 @@ import pytest
 
 from rfsom.cli import (
     FIELDS,
-    MAX_CELLS,
     MAX_NEURONS,
     Model,
     RunConfig,
@@ -480,37 +479,6 @@ def test_lattice_above_neuron_limit_exit4_before_any_work(workspace, tmp_path, c
     assert run_cli(*train_args(out, workspace / "gen" / "dataset.csv", extra=lattice)) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-
-
-def test_dataset_above_cell_limit_exit4_before_any_work(workspace, tmp_path, capsys, monkeypatch):
-    """n x N x dims is known once the CSV is read: one cell above the limit,
-    train and evaluate exit 4 before they train, score or write; at the
-    limit, train runs. The limit is lowered to the 120-row dataset's 13440
-    cells, so nothing large is allocated."""
-    assert MAX_CELLS == 2**25
-    dataset = workspace / "gen" / "dataset.csv"
-    model = str(workspace / "run" / "model.json")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("trained or scored before the cell limit was checked")
-
-    out = tmp_path / "out"
-    message = (
-        "error: 120 samples x 16 neurons x 7 dims = 13440 distance cells, "
-        "more than the limit of 13439\n"
-    )
-    with monkeypatch.context() as patch:
-        patch.setattr("rfsom.cli.MAX_CELLS", 120 * 16 * 7 - 1)
-        for name in ("mrf_train", "train", "masked_quantization_error"):
-            patch.setattr(f"rfsom.cli.{name}", refuse)
-        assert run_cli(*train_args(out, dataset)) == 4
-        assert capsys.readouterr().err == message
-        argv = ["evaluate", "--model", model, "--dataset-path", str(dataset), "--out", str(out)]
-        assert run_cli(*argv) == 4
-        assert capsys.readouterr().err == message
-        assert not out.exists()
-    monkeypatch.setattr("rfsom.cli.MAX_CELLS", 120 * 16 * 7)
-    assert run_cli(*train_args(out, dataset, epochs=1)) == 0
 
 
 def test_train_mask_grid_mismatch_exit4_without_output(workspace, tmp_path, capsys):

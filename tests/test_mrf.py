@@ -20,8 +20,9 @@ from rfsom.mrf import (
     ReceptiveFieldMask,
     default_quadrant_mask,
     home_group,
-    _dataset_distances,
-    _topographic_error,
+    _distances,
+    _nearest_pair,
+    _norms,
     load_mask,
     masked_quantization_error,
     masked_topographic_error,
@@ -128,7 +129,7 @@ def test_default_mask_shape_and_groups():
     homes = {home_group(g) for g in mask.groups}
     assert homes == set(BODY_GROUPS)
     assert mask.mask.any(axis=0).all()  # every joint reachable
-    assert mask.group_order() == BODY_GROUPS
+    assert tuple(mask.group_indices()) == BODY_GROUPS
 
 
 def test_group_indices_order_and_members():
@@ -139,9 +140,9 @@ def test_group_indices_order_and_members():
     indices = mask.group_indices()
     assert list(indices) == ["head", "wrist", "zeta", "alpha"]
     assert [idx.tolist() for idx in indices.values()] == [[2, 5], [1], [0, 4], [3]]
-    assert mask.group_order() == ("head", "wrist", "zeta", "alpha")
+    assert tuple(mask.group_indices()) == ("head", "wrist", "zeta", "alpha")
     with pytest.raises(ValueError, match="no group labels"):
-        ReceptiveFieldMask(2, 3, np.ones((6, 2), dtype=bool)).group_order()
+        tuple(ReceptiveFieldMask(2, 3, np.ones((6, 2), dtype=bool)).group_indices())
 
 
 def test_default_mask_quadrant_structure():
@@ -166,8 +167,10 @@ def test_default_mask_quadrant_structure():
 
 def masked_distance(sample, neuron, cb, mask, cfg=MrfConfig()):
     """Masked distance from one sample to one neuron, read from the array
-    routine that winner search and the quality metrics share."""
-    return float(_dataset_distances(cb, [sample], mask, cfg)[0, neuron])
+    routine that winner search, training and the quality metrics share."""
+    M = mask.mask
+    diff = np.asarray(sample, dtype=np.float64) * M - cb.weights * M
+    return float(_distances(diff, _norms(mask, cfg))[neuron])
 
 
 def test_masked_distance_ignores_inactive_dims():
@@ -370,7 +373,15 @@ def random_grouped_instance(rng, metric, n_groups):
 @pytest.mark.parametrize("metric", ["manhattan", "hex-axial"])
 @pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
 @pytest.mark.parametrize("scope", BMU_SCOPES)
-def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope):
+def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope, monkeypatch):
+    """Training and both logs equal the reference loop's bytes whatever the
+    chunk size, and both masked metrics read the same bits: at the default
+    chunk (every dataset here fits in one), and in chunks of 1 and 3 rows,
+    where some datasets end on a short chunk."""
+    import rfsom.mrf
+
+    default = rfsom.mrf._CHUNK
+    sizes = []
     rng = np.random.default_rng(21)
     cfg = MrfConfig(scope, normalization)
     instances = [random_grouped_instance(rng, metric, k) for k in (1, 2, 3, 3, 4, 4)]
@@ -378,6 +389,7 @@ def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope):
     instances.append((init_codebook(LatticeSpec(metric=metric), 7, 5), quadrant))
     for cb, mask in instances:
         X = rng.normal(scale=1.5, size=(int(rng.integers(2, 40)), cb.dims))
+        sizes.append(X.shape[0])
         sched = TrainSchedule(
             epochs=int(rng.integers(1, 4)), seed=int(rng.integers(2**32)),
             decay=("exponential", "linear")[int(rng.integers(2))],
@@ -389,15 +401,22 @@ def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope):
             sched.sigma_values(total), sched.seed, sched.epochs,
             normalization == "rms-per-active-dim", groups,
         )
-        out, log = mrf_train(cb, X, mask, sched, cfg)
-        assert out.weights.tobytes() == ref_w.tobytes()
-        assert np.array(log.quantization_errors).tobytes() == np.array(ref_qe).tobytes()
-        assert np.array(log.topographic_errors).tobytes() == np.array(ref_te).tobytes()
+        scores = []
+        for chunk in (default, cb.n_neurons * cb.dims, 3 * cb.n_neurons * cb.dims):
+            monkeypatch.setattr(rfsom.mrf, "_CHUNK", chunk)
+            out, log = mrf_train(cb, X, mask, sched, cfg)
+            assert out.weights.tobytes() == ref_w.tobytes()
+            assert np.array(log.quantization_errors).tobytes() == np.array(ref_qe).tobytes()
+            assert np.array(log.topographic_errors).tobytes() == np.array(ref_te).tobytes()
+            qe = masked_quantization_error(out, X, mask, cfg)
+            scores.append((qe, masked_topographic_error(out, X, mask, cfg)))
+        assert scores[0] == scores[1] == scores[2]
+    assert any(size % 3 for size in sizes), sizes
 
 
 def test_mrf_train_peak_memory_is_flat_in_epochs():
     """The schedule is computed one epoch at a time, so the traced peak of a
-    100-epoch run is that of a 2-epoch run (386 and 388 KiB measured);
+    100-epoch run is that of a 2-epoch run (371 and 372 KiB measured);
     whole-run curves made it 458 KiB larger at this size."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(201, 7))
@@ -412,6 +431,37 @@ def test_mrf_train_peak_memory_is_flat_in_epochs():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 64 * 2**10, peaks
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb, X, m: mrf_train(cb, X, m, TrainSchedule(epochs=1)),
+        lambda cb, X, m: masked_quantization_error(cb, X, m),
+        lambda cb, X, m: masked_topographic_error(cb, X, m),
+    ],
+    ids=["mrf_train", "masked_qe", "masked_te"],
+)
+def test_peak_memory_grows_by_a_few_doubles_per_added_row(call):
+    """Nothing holds n x N x D: past one chunk (1170 rows here), the traced
+    peak grows by at most four doubles per joint for each added row (72
+    bytes measured for training and 28 for the metrics, from the per-sample
+    schedule, order, scores and value check); whole-dataset buffers made it
+    1415 and 1023 bytes."""
+    rng = np.random.default_rng(4)
+    cb = init_codebook(LatticeSpec(), 7, 1)
+    mask = default_quadrant_mask()
+    sizes = (8040, 32160)
+    peaks = []
+    for n in sizes:
+        X = rng.normal(size=(n, 7))
+        tracemalloc.start()
+        try:
+            call(cb, X, mask)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 4 * 8 * 7, peaks
 
 
 def test_mrf_train_per_group_confines_and_learns():
@@ -492,13 +542,13 @@ def test_topographic_error_pair_is_the_stable_argsort_pair():
     rng = np.random.default_rng(5)
     rows += rng.integers(0, 3, size=(40, 4)).astype(np.float64).tolist()
     for row in rows:
-        d = np.array([row])
-        a, b = np.argsort(d[0], kind="stable")[:2]
+        a, b = np.argsort(row, kind="stable")[:2]
         D = np.full((4, 4), 2)
         D[a, b] = 1
-        assert _topographic_error(d, D) == 0.0, row
+        nearest, apart = _nearest_pair(np.array([row]), D)
+        assert nearest.tolist() == [min(row)] and apart.tolist() == [False], row
         D[a, b], D[b, a] = 2, 1
-        assert _topographic_error(d, D) == 1.0, row
+        assert _nearest_pair(np.array([row]), D)[1].tolist() == [True], row
 
 
 # ------------------------------------------------------------- mask files
