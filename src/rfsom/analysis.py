@@ -85,6 +85,11 @@ def build_distance_map(codebook: Codebook, mask: ReceptiveFieldMask) -> NeuronDi
     return NeuronDistanceMap(np.array(means).reshape(lattice.rows, lattice.cols))
 
 
+def _check_threshold(combination_threshold: float) -> None:
+    if not 0.0 < combination_threshold <= 1.0:
+        raise ValueError(f"combination_threshold must be in (0, 1], got {combination_threshold}")
+
+
 def build_encoding_report(
     codebook: Codebook, mask: ReceptiveFieldMask, combination_threshold: float = 0.25
 ) -> EncodingReport:
@@ -95,10 +100,7 @@ def build_encoding_report(
     negative active weight makes the neuron an inhibitory combination.
     """
     _check_mask(mask, codebook)
-    if not 0.0 < combination_threshold <= 1.0:
-        raise ValueError(
-            f"combination_threshold must be in (0, 1], got {combination_threshold}"
-        )
+    _check_threshold(combination_threshold)
     names = joint_names(codebook.dims)
     if mask.groups is None:
         mask = replace(mask, groups=("ungrouped",) * mask.n_neurons)

@@ -22,6 +22,8 @@ import numpy as np
 
 from .analysis import (
     CLUSTER_SEPARATION_REFERENCE,
+    EncodingReport,
+    _check_threshold,
     build_distance_map,
     build_encoding_report,
     build_heatmaps,
@@ -89,10 +91,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.combination_threshold <= 1.0:
-            raise ValueError(
-                f"combination_threshold must be in (0, 1], got {self.combination_threshold}"
-            )
+        _check_threshold(self.combination_threshold)
         if self.lattice.n_neurons > MAX_NEURONS:
             raise ValueError(
                 f"lattice.rows x lattice.cols = {self.lattice.rows}x{self.lattice.cols} is "
@@ -462,8 +461,6 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ValueError("no dataset configured (dataset=<csv path>)")
     mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     raw = load_csv(cfg.dataset)
-    if raw.shape[0] < 2:
-        raise ValueError(f"training needs at least 2 samples, got {raw.shape[0]}")
     dims = raw.shape[1]
     normalization = fit_normalization(raw)
     data = apply_normalization(raw, normalization)
@@ -505,28 +502,23 @@ def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
     return model.mask, model.mrf_config
 
 
-def _has_body_groups(mask: ReceptiveFieldMask) -> bool:
-    """Whether the cluster separation ratio is defined: every body group
-    labels some neuron."""
-    return mask.groups is not None and set(BODY_GROUPS) <= mask.group_indices().keys()
+def _encoding(model: Model, mask: ReceptiveFieldMask) -> tuple[EncodingReport, float | None]:
+    """The model's encoding report and its cluster separation ratio, which is
+    None unless every body group labels some neuron."""
+    report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
+    grouped = set(BODY_GROUPS) <= set(report.group_order)
+    return report, cluster_separation_ratio(report) if grouped else None
 
 
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
     raw = load_csv(dataset_path)
-    if raw.shape[1] != model.codebook.dims:
-        raise ValueError(
-            f"dataset has {raw.shape[1]} columns, model expects {model.codebook.dims}"
-        )
     data = apply_normalization(raw, model.normalization)
     mask, mrf_config = _masked_map(model)
     qe = masked_quantization_error(model.codebook, data, mask, mrf_config)
     te = masked_topographic_error(model.codebook, data, mask, mrf_config)
-    ratio = None
-    if _has_body_groups(mask):
-        report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
-        ratio = cluster_separation_ratio(report)
+    _, ratio = _encoding(model, mask)
     out = _ensure_out(cfg)
     metrics = {
         "format": "rfsom-metrics",
@@ -548,8 +540,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     mask, _ = _masked_map(model)
     grids = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
-    report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
-    ratio = cluster_separation_ratio(report) if _has_body_groups(mask) else None
+    report, ratio = _encoding(model, mask)
     out = _ensure_out(cfg)
     for joint, grid in zip(model.joints, grids):
         atomic_write_text(os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import ParseError, atomic_write_text, format_float, read_lines
-from .som import _MAX_MAGNITUDE, _check_seed, _check_values
+from .som import _MAX_MAGNITUDE, _as_sample, _check_seed, _check_values
 
 JOINT_NAMES = (
     "head_yaw",
@@ -235,10 +235,9 @@ def _touch_hits(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
 
 def forward_kinematics(sample, chain: ChainSpec = ChainSpec()) -> tuple[np.ndarray, np.ndarray]:
     """Hand position and face-target position (torso frame, meters) for one
-    joint configuration. Pure; out-of-limit angles raise ValueError."""
-    x = np.asarray(sample, dtype=np.float64)
-    if x.shape != (len(JOINT_NAMES),):
-        raise ValueError(f"sample has shape {x.shape}, expected ({len(JOINT_NAMES)},)")
+    joint configuration. Pure; a sample that fails the value check or has an
+    out-of-limit angle raises ValueError."""
+    x = _as_sample(sample, len(JOINT_NAMES))
     for name, angle, (lo, hi) in zip(JOINT_NAMES, x, chain.joint_limits):
         if not lo <= angle <= hi:
             raise ValueError(f"{name} angle {angle} outside limits [{lo}, {hi}]")
@@ -390,21 +389,20 @@ def fit_normalization(dataset) -> NormalizationParams:
     return NormalizationParams(X.mean(axis=0), std)
 
 
-def apply_normalization(data, params: NormalizationParams) -> np.ndarray:
-    """Z-score rows (or one sample) with the fitted parameters."""
+def _as_columns(data, params: NormalizationParams) -> np.ndarray:
     X = np.asarray(data, dtype=np.float64)
     if X.shape[-1] != params.mean.shape[0]:
         raise ValueError(
             f"data has {X.shape[-1]} columns, normalization has {params.mean.shape[0]}"
         )
-    return (X - params.mean) / params.std
+    return X
+
+
+def apply_normalization(data, params: NormalizationParams) -> np.ndarray:
+    """Z-score rows (or one sample) with the fitted parameters."""
+    return (_as_columns(data, params) - params.mean) / params.std
 
 
 def invert_normalization(data, params: NormalizationParams) -> np.ndarray:
     """Map z-scored values back to raw units."""
-    X = np.asarray(data, dtype=np.float64)
-    if X.shape[-1] != params.mean.shape[0]:
-        raise ValueError(
-            f"data has {X.shape[-1]} columns, normalization has {params.mean.shape[0]}"
-        )
-    return X * params.std + params.mean
+    return _as_columns(data, params) * params.std + params.mean

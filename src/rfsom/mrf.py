@@ -331,14 +331,13 @@ def mrf_train(
     total = schedule.epochs * n
     log = TrainLog()
     for epoch in range(schedule.epochs):
-        # one epoch of the schedule at a time: memory stays flat in epochs
-        steps = (total, epoch * n, (epoch + 1) * n)
-        # the zip below takes a tile first, so a chunk's end consumes no step
-        alphas = iter(schedule.alpha_values(*steps).tolist())
-        sigmas = iter(schedule.sigma_values(*steps).tolist())
         samples = shuffle_order(schedule.seed, epoch, n)
         for start in range(0, n, chunk):
             idx = samples[start : start + chunk]
+            # the schedule one chunk at a time: memory stays flat in epochs and rows
+            first = epoch * n + start
+            alphas = schedule.alpha_values(total, first, first + len(idx)).tolist()
+            sigmas = schedule.sigma_values(total, first, first + len(idx)).tolist()
             np.multiply(X[idx, None, :], Mf, out=tiles[: len(idx)])
             for tile, alpha, sigma in zip(rows, alphas, sigmas):
                 np.subtract(tile, W, out=step)

@@ -36,18 +36,20 @@ _MAX_MAGNITUDE = 1e100
 def _check_values(values, what: str, located=None) -> np.ndarray:
     """1-D or 2-D ``values`` as a float64 array. The first entry, row-major,
     that is not finite or exceeds ``_MAX_MAGNITUDE`` in magnitude raises
-    ``located(index, reason)`` if given, else a ValueError naming ``what``."""
+    ``located(index, reason)`` if given, else a ValueError naming ``what``.
+    Only an array whose minimum or maximum fails (a NaN fails both) is searched."""
     v = np.asarray(values, dtype=np.float64)
-    bad = np.argwhere(~(np.abs(v) <= _MAX_MAGNITUDE))
-    if bad.size:
-        at = tuple(bad[0])
-        big = f"exceeds the magnitude limit {_MAX_MAGNITUDE:g}"
-        why = big if math.isfinite(v[at]) else "is not finite"
-        if located is not None:
-            raise located(at, why)
-        where = f"row {at[0]}, column {at[1]}" if v.ndim == 2 else f"index {at[0]}"
-        raise ValueError(f"{what} value at {where} {why}: {v[at]}")
-    return v
+    # a numpy that warns on a NaN reduction must still reach the located refusal
+    with np.errstate(invalid="ignore"):
+        if v.size == 0 or (-_MAX_MAGNITUDE <= v.min() and v.max() <= _MAX_MAGNITUDE):
+            return v
+    at = tuple(np.argwhere(~(np.abs(v) <= _MAX_MAGNITUDE))[0])
+    big = f"exceeds the magnitude limit {_MAX_MAGNITUDE:g}"
+    why = big if math.isfinite(v[at]) else "is not finite"
+    if located is not None:
+        raise located(at, why)
+    where = f"row {at[0]}, column {at[1]}" if v.ndim == 2 else f"index {at[0]}"
+    raise ValueError(f"{what} value at {where} {why}: {v[at]}")
 
 
 @dataclass

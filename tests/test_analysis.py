@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from rfsom.analysis import (
-    EncodingReport,
     build_distance_map,
     build_encoding_report,
     build_heatmaps,

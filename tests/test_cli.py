@@ -420,7 +420,7 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     one_row = tmp_path / "one_row.csv"
     save_csv(np.zeros((1, 7)), one_row)
     assert run_cli(*train_args(out, one_row)) == 4  # one sample cannot be normalized
-    assert "at least 2 samples" in capsys.readouterr().err
+    assert "at least 2 rows" in capsys.readouterr().err
     # rejected while the config is read, before the (here missing) dataset is opened
     threshold = ("--combination-threshold", "2")
     assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=threshold)) == 4
@@ -553,7 +553,7 @@ def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
     dataset = str(workspace / "gen" / "dataset.csv")
     argv = ["--model", str(tmp_path / "model.json"), "--dataset-path", dataset]
     assert run_cli("evaluate", *argv, "--out", str(out)) == 4
-    assert capsys.readouterr().err == "error: dataset has 7 columns, model expects 3\n"
+    assert capsys.readouterr().err == "error: data has 7 columns, normalization has 3\n"
     assert not out.exists()
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c,d,e,f\n0,0,0,0,0,0\n")

@@ -1,4 +1,4 @@
-"""Every name a package module or script imports is used in that module.
+"""Every name a package module, script or test imports is used in that module.
 
 A static scan with the standard-library ``ast`` module: nothing is imported
 or executed. Package ``__init__.py`` files are skipped, because their
@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for pattern in ("src/rfsom/*.py", "scripts/*.py")
+    for pattern in ("src/rfsom/*.py", "scripts/*.py", "tests/*.py")
     for path in ROOT.glob(pattern)
     if path.name != "__init__.py"
 )
