@@ -2,8 +2,9 @@
 
 A run is described by a flat key=value config (file and/or flags; flags win)
 that resolves into one ``RunConfig``. Every artifact a command writes is
-deterministic for a fixed seed: no timestamps, no absolute paths, stable key
-order, and 17-significant-digit floats.
+deterministic for a fixed configuration and seed: no timestamps, stable key
+order, and 17-significant-digit floats. The only paths written are the
+``out``, ``dataset`` and ``mask`` values in model.json, as they were typed.
 
 Exit codes: 0 success, 2 usage, 3 sampling failure, 4 data/config error,
 5 I/O error.
@@ -307,6 +308,15 @@ class Model:
         object.__setattr__(self, "config", cfg)
 
 
+def _model(cfg: RunConfig, codebook: Codebook, mask, normalization) -> Model:
+    """The Model of ``codebook`` whose mode, masked configuration, schedule,
+    joint names and run_config come from ``cfg``."""
+    return Model(
+        cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
+        joint_names(codebook.dims), run_config_items(cfg),
+    )
+
+
 # the top-level keys of a model document, in file order
 _MODEL_KEYS = ("format", "version", "normalization", "mask", "codebook", "run_config")
 
@@ -410,10 +420,7 @@ def load_model(path) -> Model:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     try:
-        return Model(
-            cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
-            joint_names(codebook.dims), run_config,
-        )
+        return _model(cfg, codebook, mask, normalization)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -461,26 +468,15 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ValueError("no dataset configured (dataset=<csv path>)")
     mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
     raw = load_csv(cfg.dataset)
-    dims = raw.shape[1]
     normalization = fit_normalization(raw)
     data = apply_normalization(raw, normalization)
-    codebook = init_codebook(cfg.lattice, dims, cfg.seed)
+    codebook = init_codebook(cfg.lattice, raw.shape[1], cfg.seed)
     if cfg.mode == "mrf":
         trained, log = mrf_train(codebook, data, mask, cfg.schedule, cfg.mrf_config)
     else:
         trained, log = train(codebook, data, cfg.schedule)
     out = _ensure_out(cfg)
-    model = Model(
-        mode=cfg.mode,
-        codebook=trained,
-        mask=mask,
-        mrf_config=cfg.mrf_config,
-        normalization=normalization,
-        schedule=cfg.schedule,
-        joints=joint_names(dims),
-        run_config=run_config_items(cfg),
-    )
-    save_model(model, os.path.join(out, "model.json"))
+    save_model(_model(cfg, trained, mask, normalization), os.path.join(out, "model.json"))
     lines = ["epoch,quantization_error,topographic_error"]
     for epoch, (qe, te) in enumerate(
         zip(log.quantization_errors, log.topographic_errors), start=1

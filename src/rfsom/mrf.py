@@ -212,24 +212,24 @@ def _distances(diff: np.ndarray, norms, out=None, dist=None) -> np.ndarray:
 
 def _nearest_pair(d: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a chunk of sample distances: the nearest distance, and
-    whether the two nearest neurons are not lattice-adjacent. The pair is
-    the first two of a stable argsort: the argmin, then the argmin with that
-    entry overwritten by +inf (every distance is finite, so it never returns
-    the first); ties break to the smaller index."""
+    whether the two nearest neurons are more than one lattice step apart
+    (distinct cells are at least 1 apart). The pair is the first two of a
+    stable argsort: the argmin, then the argmin with that entry overwritten
+    by +inf; ties break to the smaller index. A single neuron is its own
+    second nearest, at lattice distance 0."""
     rows = np.arange(d.shape[0])
     first = d.argmin(axis=1)
     nearest = d[rows, first]
     d[rows, first] = np.inf
-    return nearest, D[first, d.argmin(axis=1)] != 1
+    return nearest, D[first, d.argmin(axis=1)] > 1
 
 
 def _score(X: np.ndarray, W: np.ndarray, mask: ReceptiveFieldMask, cfg: MrfConfig, D, out=None):
     """(quantization error, topographic error) of samples ``X`` against the
-    weights ``W`` in row-major order, under ``mask`` and ``cfg``; a
-    single-neuron map scores topographic error 0. Samples are scored a chunk
-    at a time, in ``out`` if given; QE is the mean of the concatenated
-    per-sample minima and TE that of a boolean array, so neither depends on
-    the chunk size."""
+    weights ``W`` in row-major order, under ``mask`` and ``cfg``. Samples
+    are scored a chunk at a time, in ``out`` if given; QE is the mean of the
+    concatenated per-sample minima and TE that of a boolean array, so
+    neither depends on the chunk size."""
     M = mask.mask.astype(np.float64)
     W = W * M
     norms = _norms(mask, cfg)
@@ -244,7 +244,7 @@ def _score(X: np.ndarray, W: np.ndarray, mask: ReceptiveFieldMask, cfg: MrfConfi
         np.multiply(X[chunk, None, :], M, out=buf)
         buf -= W
         nearest[chunk], apart[chunk] = _nearest_pair(_distances(buf, norms, out=buf), D)
-    return float(nearest.mean()), float(apart.mean()) if W.shape[0] > 1 else 0.0
+    return float(nearest.mean()), float(apart.mean())
 
 
 def mrf_find_bmu(
@@ -269,12 +269,12 @@ def _layout(mask: ReceptiveFieldMask, cfg: MrfConfig, D: np.ndarray):
 
     Returns the index that lays a neuron-indexed array out, the index that
     undoes it, and one (slice of the layout, lattice block) pair per group.
-    Global scope is one group of every neuron in row-major order: both
-    indices are ``slice(None)`` and its block is the lattice table itself.
+    Global scope is one group of every neuron in row-major order.
     """
     if cfg.bmu_scope == "global-masked":
-        return slice(None), slice(None), [(slice(None), D)]
-    groups = list(mask.group_indices().values())
+        groups = [np.arange(mask.n_neurons)]
+    else:
+        groups = list(mask.group_indices().values())
     stops = np.cumsum([len(idx) for idx in groups]).tolist()
     blocks = [
         (slice(stop - len(idx), stop), D[np.ix_(idx, idx)]) for idx, stop in zip(groups, stops)

@@ -147,10 +147,8 @@ def _decay_values(
     ``total``-step run, monotone non-increasing. Each step's value depends
     only on its own index, so any range holds the bits of the whole curve."""
     stop = total if stop is None else stop
-    if total <= 1:
-        # a single step is both first and last; the start value wins
-        return np.full(stop - start, v0, dtype=np.float64)
-    frac = np.arange(start, stop, dtype=np.float64) / (total - 1)
+    # a single step is both first and last: frac 0 gives it the start value
+    frac = np.arange(start, stop, dtype=np.float64) / max(total - 1, 1)
     if decay == "exponential":
         return v0 * (v_end / v0) ** frac
     return v0 + (v_end - v0) * frac

@@ -14,11 +14,11 @@ import pytest
 from rfsom.cli import (
     FIELDS,
     MAX_NEURONS,
-    Model,
     RunConfig,
     _ALL,
     _DEFAULTS,
     _merge_config,
+    _model,
     build_parser,
     build_run_config,
     load_model,
@@ -543,11 +543,8 @@ def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
     """A dataset with another header, or of 7 joints for a 3-dim model, is
     refused before any score or write."""
     cfg = build_run_config({"mode": "som"})
-    model = Model(
-        "som", init_codebook(cfg.lattice, 3, 0), None, cfg.mrf_config,
-        NormalizationParams(np.zeros(3), np.ones(3)), cfg.schedule, joint_names(3),
-        run_config_items(cfg),
-    )
+    normalization = NormalizationParams(np.zeros(3), np.ones(3))
+    model = _model(cfg, init_codebook(cfg.lattice, 3, 0), None, normalization)
     save_model(model, tmp_path / "model.json")
     out = tmp_path / "out"
     dataset = str(workspace / "gen" / "dataset.csv")

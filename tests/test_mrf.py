@@ -415,9 +415,9 @@ def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope, mo
 
 
 def test_mrf_train_peak_memory_is_flat_in_epochs():
-    """The schedule is computed one epoch at a time, so the traced peak of a
-    100-epoch run is that of a 2-epoch run (371 and 372 KiB measured);
-    whole-run curves made it 458 KiB larger at this size."""
+    """The schedule is computed one chunk of steps at a time, so the traced
+    peak of a 100-epoch run is that of a 2-epoch run (374 and 375 KiB
+    measured); whole-run curves made it 458 KiB larger at this size."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(201, 7))
     cb = init_codebook(LatticeSpec(), 7, 1)
@@ -474,6 +474,24 @@ def test_mrf_train_per_group_confines_and_learns():
     inactive = ~mask.mask
     assert out.weights[inactive].tobytes() == cb.weights[inactive].tobytes()
     assert len(log.quantization_errors) == 5
+
+
+@pytest.mark.parametrize("rows, epochs", [(1, 1), (9, 4)])
+def test_single_neuron_map_trains_with_topographic_error_zero(rows, epochs):
+    """A 1x1 map has no second neuron, so every epoch logs TE 0.0, under the
+    baseline and under per-group scope with a one-label mask, in a one-step
+    run too."""
+    cb = init_codebook(LatticeSpec(rows=1, cols=1), 3, 5)
+    X = np.random.default_rng(5).normal(size=(rows, 3))
+    sched = TrainSchedule(epochs=epochs, seed=5)
+    mask = ReceptiveFieldMask(1, 1, np.ones((1, 3), dtype=bool), ("head",))
+    for out, log in (
+        train(cb, X, sched),
+        mrf_train(cb, X, mask, sched, MrfConfig(bmu_scope="per-group")),
+    ):
+        assert log.topographic_errors == [0.0] * epochs
+        assert len(log.quantization_errors) == epochs
+        assert np.isfinite(out.weights).all()
 
 
 def test_mrf_train_shape_mismatch_rejected():

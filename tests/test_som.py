@@ -94,9 +94,9 @@ def test_schedule_refuses_curves_that_reach_zero():
 
 @pytest.mark.parametrize("decay", ["exponential", "linear"])
 def test_schedule_ranges_hold_the_bits_of_the_whole_curve(decay):
-    """Training reads the schedule one epoch at a time; every epoch's range
-    equals the whole run's curve byte for byte, at totals that are not
-    multiples of a SIMD width too."""
+    """Training reads the schedule one chunk of steps at a time; every range
+    (here each epoch's) equals the whole run's curve byte for byte, at
+    totals that are not multiples of a SIMD width too."""
     steep = TrainSchedule(alpha0=0.9, alpha_end=1e-5, sigma0=7.5, sigma_end=1e-3, decay=decay)
     for sched in (TrainSchedule(decay=decay), steep):
         for n, epochs in [(1, 1), (1, 9), (3, 5), (7, 3), (13, 11), (61, 7), (200, 4), (3216, 3)]:
