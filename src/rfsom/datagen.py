@@ -8,15 +8,17 @@ robot data. Joint limits, link lengths, the shoulder offset, the face
 target, the touch radius, datasets and normalization parameters pass the
 library's one value check: finite and at most 1e100 in magnitude.
 
-The sampler draws raw doubles and scales them in place, which gives the
-bytes ``Generator.uniform`` would. It runs the arm kinematics on a whole
-batch, one array per coordinate, and skips a wrist rotation about x, the
-forearm's own axis, since it cannot move the contact point. No draw whose
-hand distance from the torso origin is off |face_target| by the touch
-radius or more can touch. A float32 pass of the arm kinematics over the
-whole batch drops those draws, with a slack that covers its rounding. It is
-the only prefilter: the float64 arm and head kinematics and the exact touch
-test run on every draw it keeps (``_touch_hits``). Float64 trigonometry and
+The sampler draws raw doubles into one buffer and scales them in place,
+several draws to a row, which gives the bytes ``Generator.uniform`` would.
+It runs the arm kinematics on a whole batch, one array per coordinate, and
+skips a wrist rotation about x, the forearm's own axis, since it cannot move
+the contact point. A float32 screen, with a slack that covers its rounding,
+is the only prefilter. It first drops every draw whose hand distance from
+the torso origin is off |face_target| by the touch radius or more, since
+such a draw cannot touch; on the few percent left it runs the head
+kinematics and drops every draw whose hand-to-target gap clears the radius.
+The float64 arm and head kinematics and the exact touch test run on every
+draw it keeps, a few per batch (``_touch_hits``). Float64 trigonometry and
 arithmetic are elementwise, so a kept draw gets the bits a whole-batch
 float64 pass would give it.
 """
@@ -56,8 +58,8 @@ AXES = ("x", "y", "z")
 
 # draws per sampler batch. Rows, attempts and SamplingError counts never
 # depend on it: the RNG stream is read in order and every draw is tested on
-# its own. 16384 draws hold the sampler's traced peak near 2 MiB (65536 held
-# 7 MiB), and no size from 4096 to 65536 sampled faster per draw.
+# its own. 16384 draws hold the sampler's traced peak near 2.2 MiB (65536
+# held 5.8 MiB), and no size from 4096 to 65536 sampled faster per draw.
 _BATCH = 16384
 
 
@@ -160,67 +162,82 @@ def _hand(angles: np.ndarray, chain: ChainSpec, scale: float = 1.0, dtype=np.flo
     return ox + x, oy + y, oz + z
 
 
-def _target(angles: np.ndarray, chain: ChainSpec):
-    """Face-target position ``(x, y, z)`` for a (B, 7) batch of joint angles."""
+def _target(angles: np.ndarray, chain: ChainSpec, scale: float = 1.0, dtype=np.float64):
+    """Face-target position ``(x, y, z)`` for a (B, 7) batch of joint angles,
+    computed in ``dtype`` and in units of ``scale`` meters."""
     ax = chain.joint_axes
     b = angles.shape[0]
-    x, y, z = (np.full(b, v, dtype=np.float64) for v in chain.face_target)
-    x, y, z = _rotate(ax[1], angles[:, 1], x, y, z)
-    return _rotate(ax[0], angles[:, 0], x, y, z)
+    dtype = np.dtype(dtype)
+    x, y, z = (np.full(b, v / scale, dtype=dtype) for v in chain.face_target)
+    x, y, z = _rotate(ax[1], angles[:, 1].astype(dtype, copy=False), x, y, z)
+    return _rotate(ax[0], angles[:, 0].astype(dtype, copy=False), x, y, z)
 
 
 def _screen_slack(chain: ChainSpec) -> float:
-    """How far, in units of the screen's length scale L, the float32 hand
-    distance of ``_screen`` can stray from the float64 one, plus the
-    rounding of the screen's own difference and thresholds.
+    """How far, in units of the screen's length scale L, either float32 test
+    of ``_screen`` can stray from its float64 value, plus the rounding of
+    the test's own differences and threshold.
 
-    With u = 2**-24 (float32 rounding) and A the largest |arm-joint limit|,
-    each float32 cosine and sine is off by at most e = u*A (the angle's cast)
+    With u = 2**-24 (float32 rounding) and A the largest |joint limit|, each
+    float32 cosine and sine is off by at most e = u*A (the angle's cast)
     + 2**-16 (float32 cos and sin, allowed 256 ulp of 1.0 where numpy's are
     tested to a few). Every position is a length <= 1 in units of L, so each
-    of the five rotations adds at most 2e + 4u, and the three offsets, the
-    norm, rho/L, the difference and the threshold add at most 10u more:
-    10e + 30u in all. At the default limits that is 1.6e-4, about 770 times
-    the worst error measured on sampler batches (2e-7). A grows with the
+    rotation adds at most 2e + 4u. The arm's five rotations, its three
+    offsets, the norm, rho/L and the shell test's difference and threshold
+    add at most 10e + 30u; the head's two rotations add 2e + 4u each, and
+    the face target's cast, the gap's differences and norm (a gap is at
+    most 2) and its threshold at most 8u more: 14e + 46u in all, for both
+    tests. At the default limits that is 2.2e-4, about 840 times the worst
+    gap error measured on sampler batches (2.6e-7). A grows with the
     limits, so limits far beyond +-pi widen the screen until it keeps every
     draw; a limit too large for float32 casts to inf, whose cosine is NaN,
     and a NaN distance is kept.
     """
     u = 2.0**-24
-    arm = max(max(abs(lo), abs(hi)) for lo, hi in chain.joint_limits[2:])
-    return 10.0 * (u * arm + 2.0**-16) + 30.0 * u
+    e = u * max(max(abs(lo), abs(hi)) for lo, hi in chain.joint_limits) + 2.0**-16
+    return 14.0 * e + 46.0 * u
 
 
 def _screen(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
-    """Indices of the rows of a (B, 7) batch that a float32 pass of the arm
+    """Indices of the rows of a (B, 7) batch that a float32 pass of the
     kinematics cannot rule out as touches, ascending.
 
-    The head rotates about the torso origin, so the target stays at distance
-    rho = |face_target| from it, and the triangle inequality gives
-    gap >= | |hand| - rho |. The pass computes |hand| on geometry divided by
-    L = max(arm reach, rho), so that every value stays at or below 1, and
-    keeps a draw unless | |hand|/L - rho/L | clears r/L by the slack of
-    ``_screen_slack``; a NaN keeps it.
+    Both tests run on geometry divided by L = max(arm reach, rho), so that
+    every value stays at or below 1, and keep a draw unless their value
+    clears r/L by the slack of ``_screen_slack``; a NaN keeps it. The shell
+    test runs on every draw: the head rotates about the torso origin, so the
+    target stays at distance rho = |face_target| from it, and the triangle
+    inequality gives gap >= | |hand| - rho |. It needs only the arm and
+    keeps about 6% of a default batch. The gap test runs the head
+    kinematics on those draws only and tests |hand - target| itself; it
+    keeps about 0.009%, 226 draws for 223 touches in 40 batches of 65536.
     """
     r = chain.touch_radius
     rho = math.hypot(*chain.face_target)
     scale = max(math.hypot(*chain.shoulder_offset) + chain.upper_arm + chain.forearm_hand, rho)
-    # huge limits overflow the float32 cast and give NaN cosines: kept draws
+    reach = r / scale + _screen_slack(chain)
+    # huge limits overflow the float32 cast and give NaN cosines: kept draws;
+    # a huge radius casts to an inf threshold
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, z = _hand(draw, chain, scale, np.float32)
         norm = np.sqrt(x * x + y * y + z * z)
-        far = np.abs(norm - np.float32(rho / scale)) >= r / scale + _screen_slack(chain)
-    return np.flatnonzero(~far)
+        live = np.flatnonzero(~(np.abs(norm - np.float32(rho / scale)) >= reach))
+        tx, ty, tz = _target(draw[live], chain, scale, np.float32)
+        dx = x[live] - tx
+        dy = y[live] - ty
+        dz = z[live] - tz
+        gap = np.sqrt(dx * dx + dy * dy + dz * dz)
+        return live[~(gap >= reach)]
 
 
 def _touch_hits(draw: np.ndarray, chain: ChainSpec) -> np.ndarray:
     """Indices of the rows of a (B, 7) batch whose hand lands within
     ``touch_radius`` of the face target, ascending.
 
-    ``_screen`` is the one prefilter: every draw it keeps gets the float64
-    arm and head kinematics and the exact test ``gap < touch_radius``.
-    Float64 cos, sin and arithmetic are elementwise, so each of them gets
-    the bits a whole-batch float64 pass would give it.
+    ``_screen`` is the one prefilter: every draw it keeps, a few per
+    batch, gets the float64 arm and head kinematics and the exact test
+    ``gap < touch_radius``. Float64 cos, sin and arithmetic are elementwise,
+    so each of them gets the bits a whole-batch float64 pass would give it.
     """
     live = _screen(draw, chain)
     kept = draw[live]
@@ -272,16 +289,21 @@ def synthesize_self_touch(
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     rng = np.random.default_rng(_check_seed(seed))
-    lo = chain.lower_limits
-    span = chain.upper_limits - lo
+    # the bytes of rng.uniform(lo, hi, ...), which computes lo + span * U,
+    # scaled k draws to a row (k divides the batch): numpy runs a 7k-long
+    # row operand down the batch far faster than a 7-vector
+    k = math.gcd(_BATCH, 64)
+    lo = np.tile(chain.lower_limits, k)
+    span = np.tile(chain.upper_limits, k) - lo
+    draw = np.empty((_BATCH, len(JOINT_NAMES)))
+    wide = draw.reshape(-1, span.size)
     kept: list[np.ndarray] = []
     accepted = 0
     drawn = 0
     while drawn < max_attempts:
-        # the bytes of rng.uniform(lo, hi, ...), which computes lo + span * U
-        draw = rng.random((_BATCH, len(JOINT_NAMES)))
-        draw *= span
-        draw += lo
+        rng.random(out=draw)
+        wide *= span
+        wide += lo
         hits = _touch_hits(draw, chain)
         hits = hits[hits < max_attempts - drawn][: n - accepted]
         kept.append(draw[hits])

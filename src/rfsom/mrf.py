@@ -269,16 +269,20 @@ def _layout(mask: ReceptiveFieldMask, cfg: MrfConfig, D: np.ndarray):
 
     Returns the index that lays a neuron-indexed array out, the index that
     undoes it, and one (slice of the layout, lattice block) pair per group.
-    Global scope is one group of every neuron in row-major order.
+    Global scope is one group of every neuron in row-major order. A block
+    of g neurons is a float64 (g, g, dims) table whose last axis repeats the
+    lattice distance, so a winner's row gives a neighborhood the shape of
+    the group's weights.
     """
     if cfg.bmu_scope == "global-masked":
         groups = [np.arange(mask.n_neurons)]
     else:
         groups = list(mask.group_indices().values())
     stops = np.cumsum([len(idx) for idx in groups]).tolist()
-    blocks = [
-        (slice(stop - len(idx), stop), D[np.ix_(idx, idx)]) for idx, stop in zip(groups, stops)
-    ]
+    blocks = []
+    for idx, stop in zip(groups, stops):
+        table = D[np.ix_(idx, idx)].astype(np.float64)
+        blocks.append((slice(stop - len(idx), stop), np.repeat(table[:, :, None], mask.dims, axis=2)))
     order = np.concatenate(groups)
     return order, np.argsort(order), blocks
 
@@ -316,9 +320,8 @@ def mrf_train(
     norms = _norms(mask, cfg)
     if norms is not None:
         norms = norms[order]
-    h = np.empty(codebook.n_neurons, dtype=np.float64)
-    h_col = h[:, None]
-    dist = np.empty_like(h)
+    h = np.empty_like(W)
+    dist = np.empty(codebook.n_neurons)
     views = [(dist[g], h[g], Dg) for g, Dg in blocks]
     step = np.empty_like(W)
     sq = np.empty_like(W)
@@ -344,7 +347,7 @@ def mrf_train(
                 _distances(step, norms, out=sq, dist=dist)
                 for d_g, h_g, Dg in views:
                     np.multiply(neighborhood_weight(Dg[d_g.argmin()], sigma), alpha, out=h_g)
-                step *= h_col
+                step *= h
                 W += step
         # scored in row-major order, so ties break to the smallest index
         qe, te = _score(X, W[back], mask, cfg, D, out=tiles)

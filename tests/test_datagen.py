@@ -17,7 +17,9 @@ from rfsom.datagen import (
     NormalizationParams,
     SamplingError,
     _hand,
+    _screen,
     _screen_slack,
+    _target,
     _touch_hits,
     apply_normalization,
     fit_normalization,
@@ -284,8 +286,8 @@ def test_synthesize_does_not_depend_on_the_batch_size(monkeypatch, batch):
 
 def test_synthesize_peak_memory_is_bounded():
     """The sampler's traced peak is one batch's working arrays, whatever the
-    number of draws: 2.48 MiB measured for 20 rows at the default radius
-    (295797 draws) with 16384-draw batches, against 7.73 MiB with 65536-draw
+    number of draws: 2.24 MiB measured for 20 rows at the default radius
+    (295797 draws) with 16384-draw batches, against 5.76 MiB with 65536-draw
     ones (numpy 2.4)."""
     tracemalloc.start()
     try:
@@ -348,25 +350,59 @@ def test_touch_hits_match_row_reference(chain):
         np.testing.assert_array_equal(_touch_hits(draw, chain), want)
 
 
+def screen_scale(chain):
+    """The screen's length scale: arm reach or target distance."""
+    return max(
+        math.hypot(*chain.shoulder_offset) + chain.upper_arm + chain.forearm_hand,
+        math.hypot(*chain.face_target),
+    )
+
+
+def sampler_batches(chain):
+    """Four full sampler batches of ``chain``'s draws."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+
+
 def test_touch_screen_error_is_far_below_its_slack():
     """On sampler batches the float32 hand distance strays from the float64
     one by at most a hundredth of the screen's slack."""
     for chain in (HIT_CHAINS["default"], HIT_CHAINS["permuted-axes"]):
-        # the screen's length scale: arm reach or target distance
-        scale = max(
-            math.hypot(*chain.shoulder_offset) + chain.upper_arm + chain.forearm_hand,
-            math.hypot(*chain.face_target),
-        )
+        scale = screen_scale(chain)
         worst = 0.0
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            draw = rng.uniform(chain.lower_limits, chain.upper_limits, size=(65536, 7))
+        for draw in sampler_batches(chain):
             sx, sy, sz = _hand(draw, chain, scale, np.float32)
             n32 = np.sqrt(sx * sx + sy * sy + sz * sz).astype(np.float64)
             hx, hy, hz = _hand(draw, chain)
             n64 = np.sqrt(hx * hx + hy * hy + hz * hz)
             worst = max(worst, np.abs(n32 * scale - n64).max() / scale)
         assert 0.0 < worst * 100 <= _screen_slack(chain)
+
+
+def test_touch_screen_gap_error_is_far_below_its_slack():
+    """On sampler batches the float32 hand-to-target gap, the screen's
+    second test, strays from the float64 one by at most a hundredth of the
+    same slack (2.6e-7 of 2.2e-4 measured at the default chain)."""
+    for chain in (HIT_CHAINS["default"], HIT_CHAINS["permuted-axes"]):
+        scale = screen_scale(chain)
+        worst = 0.0
+        for draw in sampler_batches(chain):
+            hand = _hand(draw, chain, scale, np.float32)
+            target = _target(draw, chain, scale, np.float32)
+            dx, dy, dz = (h - t for h, t in zip(hand, target))
+            g32 = np.sqrt(dx * dx + dy * dy + dz * dz).astype(np.float64)
+            worst = max(worst, np.abs(g32 * scale - touch_gaps_rows(draw, chain)).max() / scale)
+        assert 0.0 < worst * 100 <= _screen_slack(chain)
+
+
+def test_touch_screen_keeps_a_few_draws_per_batch():
+    """The exact float64 test sees under 0.1% of a default batch: the gap
+    test leaves little beyond the touches themselves (at most 5 of 65536
+    draws kept measured), where the shell test alone keeps about 6%."""
+    chain = ChainSpec()
+    for draw in sampler_batches(chain):
+        assert _screen(draw, chain).size < draw.shape[0] // 1000
 
 
 def collinear_case(n, seed):

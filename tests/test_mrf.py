@@ -416,7 +416,7 @@ def test_mrf_train_matches_reference_loop_bytes(metric, normalization, scope, mo
 
 def test_mrf_train_peak_memory_is_flat_in_epochs():
     """The schedule is computed one chunk of steps at a time, so the traced
-    peak of a 100-epoch run is that of a 2-epoch run (374 and 375 KiB
+    peak of a 100-epoch run is that of a 2-epoch run (386 and 388 KiB
     measured); whole-run curves made it 458 KiB larger at this size."""
     rng = np.random.default_rng(4)
     X = rng.normal(size=(201, 7))
@@ -474,6 +474,32 @@ def test_mrf_train_per_group_confines_and_learns():
     inactive = ~mask.mask
     assert out.weights[inactive].tobytes() == cb.weights[inactive].tobytes()
     assert len(log.quantization_errors) == 5
+
+
+def test_one_neighborhood_kernel_call_per_group_per_step(monkeypatch):
+    """Each training step evaluates the neighborhood kernel once per winner
+    group: once for the baseline map, and once per base group (four in the
+    default mask) under per-group scope."""
+    import rfsom.mrf
+
+    calls = []
+    kernel = rfsom.mrf.neighborhood_weight
+
+    def counted(d, sigma):
+        calls.append(sigma)
+        return kernel(d, sigma)
+
+    monkeypatch.setattr(rfsom.mrf, "neighborhood_weight", counted)
+    cb = init_codebook(LatticeSpec(), 7, 2)
+    X = np.random.default_rng(2).normal(size=(30, 7))
+    sched = TrainSchedule(epochs=3, seed=2)
+    mask = default_quadrant_mask()
+    train(cb, X, sched)
+    assert len(calls) == 3 * 30
+    calls.clear()
+    mrf_train(cb, X, mask, sched, MrfConfig(bmu_scope="per-group"))
+    assert len(mask.group_indices()) == 4
+    assert len(calls) == 3 * 30 * 4
 
 
 @pytest.mark.parametrize("rows, epochs", [(1, 1), (9, 4)])
