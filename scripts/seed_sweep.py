@@ -48,10 +48,8 @@ def run_seed(seed: int, n: int) -> None:
     neurons = report["neurons"]
     for group in report["group_order"]:
         prefs = Counter(e["argmax_joint"] for e in neurons if e["group"] == group)
-        kinds = Counter(e["classification"] for e in neurons if e["group"] == group)
         pref_str = ", ".join(f"{j} x{c}" for j, c in sorted(prefs.items()))
-        kind_str = ", ".join(f"{k} x{c}" for k, c in sorted(kinds.items()))
-        print(f"  {group:>8}: prefers [{pref_str}]; codes [{kind_str}]")
+        print(f"  {group:>8}: prefers [{pref_str}]")
 
 
 def main() -> None:

@@ -34,14 +34,13 @@ class NeuronDistanceMap:
 @dataclass
 class NeuronEncoding:
     """What one neuron represents: its group, active joints, stored weights
-    (aligned with ``active_joints``), preferred joint, and classification."""
+    (aligned with ``active_joints``) and preferred (largest-|weight|) joint."""
 
     index: int
     group: str
     active_joints: tuple[str, ...]
     weights: tuple[float, ...]
     argmax_joint: str
-    classification: str
 
 
 @dataclass
@@ -85,22 +84,9 @@ def build_distance_map(codebook: Codebook, mask: ReceptiveFieldMask) -> NeuronDi
     return NeuronDistanceMap(np.array(means).reshape(lattice.rows, lattice.cols))
 
 
-def _check_threshold(combination_threshold: float) -> None:
-    if not 0.0 < combination_threshold <= 1.0:
-        raise ValueError(f"combination_threshold must be in (0, 1], got {combination_threshold}")
-
-
-def build_encoding_report(
-    codebook: Codebook, mask: ReceptiveFieldMask, combination_threshold: float = 0.25
-) -> EncodingReport:
-    """Classify every neuron and measure inter-group codebook distances.
-
-    A joint counts toward a combination when its |weight| reaches
-    ``combination_threshold`` times the neuron's largest |weight|; any
-    negative active weight makes the neuron an inhibitory combination.
-    """
+def build_encoding_report(codebook: Codebook, mask: ReceptiveFieldMask) -> EncodingReport:
+    """Describe every neuron and measure inter-group codebook distances."""
     _check_mask(mask, codebook)
-    _check_threshold(combination_threshold)
     names = joint_names(codebook.dims)
     if mask.groups is None:
         mask = replace(mask, groups=("ungrouped",) * mask.n_neurons)
@@ -108,21 +94,13 @@ def build_encoding_report(
     for i in range(mask.n_neurons):
         active = np.flatnonzero(mask.mask[i])
         w = codebook.weights[i, active]
-        top = int(np.argmax(np.abs(w)))
-        if (w < 0.0).any():
-            kind = "inhibitory-combination"
-        elif (np.abs(w) >= combination_threshold * np.abs(w[top])).sum() >= 2:
-            kind = "combination"
-        else:
-            kind = "single-joint"
         neurons.append(
             NeuronEncoding(
                 index=i,
                 group=home_group(mask.groups[i]),
                 active_joints=tuple(names[j] for j in active),
                 weights=tuple(float(v) for v in w),
-                argmax_joint=names[int(active[top])],
-                classification=kind,
+                argmax_joint=names[int(active[np.argmax(np.abs(w))])],
             )
         )
     indices = mask.group_indices()
@@ -136,7 +114,7 @@ def build_encoding_report(
     return EncodingReport(neurons, order, dist)
 
 
-# exported as ``cluster_separation_reference`` beside the measured ratio
+# written to report.json as ``cluster_separation_reference`` beside the measured ratio
 CLUSTER_SEPARATION_REFERENCE = 0.5
 
 

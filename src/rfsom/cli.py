@@ -23,8 +23,6 @@ import numpy as np
 
 from .analysis import (
     CLUSTER_SEPARATION_REFERENCE,
-    EncodingReport,
-    _check_threshold,
     build_distance_map,
     build_encoding_report,
     build_heatmaps,
@@ -83,7 +81,6 @@ class RunConfig:
     mask: str = DEFAULT_MASK
     n: int = 3216
     max_attempts: int | None = None
-    combination_threshold: float = 0.25
     lattice: LatticeSpec = LatticeSpec()
     schedule: TrainSchedule = TrainSchedule()
     mrf_config: MrfConfig = MrfConfig()
@@ -92,7 +89,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_threshold(self.combination_threshold)
         if self.lattice.n_neurons > MAX_NEURONS:
             raise ValueError(
                 f"lattice.rows x lattice.cols = {self.lattice.rows}x{self.lattice.cols} is "
@@ -186,8 +182,6 @@ FIELDS = (
     Field("n", *_INT, _GEN, "number of samples to generate"),
     Field("max_attempts", *_ATTEMPTS, _GEN,
           "cap on sampling attempts ('auto' = max(100000, 20000*n))"),
-    Field("combination_threshold", *_FLOAT, _TRAIN,
-          "relative |weight| cutoff for combination coding"),
     Field("lattice.rows", *_INT, _TRAIN, "lattice rows"),
     Field("lattice.cols", *_INT, _TRAIN, "lattice cols"),
     Field("lattice.metric", *_STR, _TRAIN, "lattice distance: manhattan or hex-axial"),
@@ -325,7 +319,7 @@ def save_model(model: Model, path) -> None:
     mask = model.mask
     doc = {
         "format": "rfsom-model",
-        "version": 2,
+        "version": 3,
         "normalization": {
             "mean": model.normalization.mean.tolist(),
             "std": model.normalization.std.tolist(),
@@ -396,7 +390,7 @@ def load_model(path) -> Model:
         raise ParseError(f"{path}: model document must be a JSON object")
     if doc.get("format") != "rfsom-model":
         raise ParseError(f"{path}: not a model file (format={doc.get('format')!r})")
-    if doc.get("version") != 2:
+    if doc.get("version") != 3:
         raise ParseError(f"{path}: unsupported model version {doc.get('version')!r}")
     _check_keys(doc, _MODEL_KEYS, path)
     run_config = _expect(doc, "run_config", dict, path)
@@ -461,9 +455,6 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     """Normalize the dataset, train the configured map, write model + log."""
-    if cfg.lattice.n_neurons < 2:
-        grid = f"{cfg.lattice.rows}x{cfg.lattice.cols}"
-        raise ValueError(f"training needs at least 2 neurons, got a {grid} lattice")
     if not cfg.dataset:
         raise ValueError("no dataset configured (dataset=<csv path>)")
     mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
@@ -498,14 +489,6 @@ def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
     return model.mask, model.mrf_config
 
 
-def _encoding(model: Model, mask: ReceptiveFieldMask) -> tuple[EncodingReport, float | None]:
-    """The model's encoding report and its cluster separation ratio, which is
-    None unless every body group labels some neuron."""
-    report = build_encoding_report(model.codebook, mask, model.config.combination_threshold)
-    grouped = set(BODY_GROUPS) <= set(report.group_order)
-    return report, cluster_separation_ratio(report) if grouped else None
-
-
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
@@ -514,16 +497,13 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     mask, mrf_config = _masked_map(model)
     qe = masked_quantization_error(model.codebook, data, mask, mrf_config)
     te = masked_topographic_error(model.codebook, data, mask, mrf_config)
-    _, ratio = _encoding(model, mask)
     out = _ensure_out(cfg)
     metrics = {
         "format": "rfsom-metrics",
-        "version": 1,
+        "version": 2,
         "n_samples": int(raw.shape[0]),
         "quantization_error": qe,
         "topographic_error": te,
-        "cluster_separation_ratio": ratio,
-        "cluster_separation_reference": CLUSTER_SEPARATION_REFERENCE,
     }
     atomic_write_text(os.path.join(out, "metrics.json"), dump_json(metrics))
     print(f"quantization_error {qe:.6g}, topographic_error {te:.6g} -> {out}/metrics.json")
@@ -536,14 +516,17 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     mask, _ = _masked_map(model)
     grids = build_heatmaps(model.codebook, mask)
     dmap = build_distance_map(model.codebook, mask)
-    report, ratio = _encoding(model, mask)
+    report = build_encoding_report(model.codebook, mask)
+    # the ratio needs every body group; a map without them reports null
+    grouped = set(BODY_GROUPS) <= set(report.group_order)
+    ratio = cluster_separation_ratio(report) if grouped else None
     out = _ensure_out(cfg)
     for joint, grid in zip(model.joints, grids):
         atomic_write_text(os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid))
         image, sidecar = heatmap_pgm_bytes(grid)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.pgm"), image)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.mask.pgm"), sidecar)
-    doc = {"format": "rfsom-report", "version": 1}
+    doc = {"format": "rfsom-report", "version": 2}
     doc.update(report_json_dict(report, dmap))
     doc["cluster_separation_ratio"] = ratio
     doc["cluster_separation_reference"] = CLUSTER_SEPARATION_REFERENCE

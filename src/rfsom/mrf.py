@@ -373,9 +373,8 @@ def masked_topographic_error(
     """Fraction of samples whose two best masked matches are not lattice-adjacent.
 
     Adjacency means lattice distance exactly 1 under the configured metric.
+    A one-neuron map's error is 0: its neuron is its own second match.
     """
-    if codebook.n_neurons < 2:
-        raise ValueError("topographic error needs at least 2 neurons")
     _check_mask(mask, codebook)
     X = _as_dataset(dataset, codebook.dims)
     return _score(X, codebook.weights, mask, cfg, distance_matrix(codebook.lattice))[1]

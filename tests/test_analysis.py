@@ -119,16 +119,12 @@ def test_distance_map_matches_oracle(metric):
 
 # ------------------------------------------------------------- encoding report
 
-def test_encoding_classification_threshold():
+def test_encoding_weights_and_argmax():
     lat = LatticeSpec(rows=1, cols=3)
     w = np.array([[0.9, 0.1], [0.9, 0.3], [0.9, -0.05]])
     cb = Codebook(w, lat)
     rep = build_encoding_report(cb, all_true_mask(1, 3, 2))
-    # 0.1 < 0.25 * 0.9: second joint does not count toward a combination
     assert rep.neurons[0].argmax_joint == "dim_0"
-    assert rep.neurons[0].classification == "single-joint"
-    assert rep.neurons[1].classification == "combination"
-    assert rep.neurons[2].classification == "inhibitory-combination"
     assert rep.neurons[0].weights == (0.9, 0.1)
     assert rep.group_order == ("ungrouped",)
 
@@ -138,7 +134,6 @@ def test_encoding_argmax_uses_magnitude():
     cb = Codebook(np.array([[0.2, -0.8]]), lat)
     rep = build_encoding_report(cb, all_true_mask(1, 1, 2))
     assert rep.neurons[0].argmax_joint == "dim_1"
-    assert rep.neurons[0].classification == "inhibitory-combination"
 
 
 def test_encoding_respects_mask_active_set():
@@ -195,14 +190,6 @@ def test_group_distances_of_constant_codebook_are_zero():
     cb = Codebook(np.full((16, 7), 0.25), LatticeSpec())
     rep = build_encoding_report(cb, mask)
     assert (rep.group_distances == 0.0).all()
-
-
-def test_encoding_threshold_validation():
-    cb = init_codebook(LatticeSpec(), 7, 0)
-    with pytest.raises(ValueError, match="combination_threshold"):
-        build_encoding_report(cb, default_quadrant_mask(), combination_threshold=0.0)
-    with pytest.raises(ValueError, match="combination_threshold"):
-        build_encoding_report(cb, default_quadrant_mask(), combination_threshold=1.5)
 
 
 # ------------------------------------------------------------- cluster ratio
@@ -312,7 +299,6 @@ def test_report_json_key_order_and_serializable():
         "active_joints",
         "weights",
         "argmax_joint",
-        "classification",
     ]
     text = dump_json(doc)
     back = json.loads(text)

@@ -120,9 +120,6 @@ def test_build_run_config_rejects_bad_input():
         build_run_config({"mode": "both"})
     with pytest.raises(ValueError, match="invalid configuration"):
         build_run_config({"chain.touch_radius": "-1"})
-    for threshold in ("0", "2", "-1"):
-        with pytest.raises(ValueError, match=r"combination_threshold must be in \(0, 1\]"):
-            build_run_config({"combination_threshold": threshold})
 
 
 def test_config_file_plus_flag_precedence(tmp_path):
@@ -173,7 +170,7 @@ FLAG_SURFACE = {
         "--cols": "4", "--metric": "manhattan", "--epochs": "100",
         "--alpha0": "0.5", "--alpha-end": "0.01", "--sigma0": "2", "--sigma-end": "0.5",
         "--decay": "exponential", "--bmu-scope": "global-masked",
-        "--distance-normalization": "rms-per-active-dim", "--combination-threshold": "0.25",
+        "--distance-normalization": "rms-per-active-dim",
     },
     "evaluate": {
         "--help": None, "--config": None, "--set": None, "--model": None,
@@ -194,7 +191,7 @@ FLAG_VALUES = {
     "lattice.metric": "hex-axial", "schedule.epochs": "7",
     "schedule.alpha0": "0.4", "schedule.alpha_end": "0.02", "schedule.sigma0": "1.5",
     "schedule.sigma_end": "0.25", "schedule.decay": "linear", "mrf.bmu_scope": "per-group",
-    "mrf.distance_normalization": "unnormalized", "combination_threshold": "0.3",
+    "mrf.distance_normalization": "unnormalized",
 }
 
 REQUIRED = {
@@ -422,9 +419,9 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     assert run_cli(*train_args(out, one_row)) == 4  # one sample cannot be normalized
     assert "at least 2 rows" in capsys.readouterr().err
     # rejected while the config is read, before the (here missing) dataset is opened
-    threshold = ("--combination-threshold", "2")
-    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=threshold)) == 4
-    assert "combination_threshold must be in (0, 1], got 2.0" in capsys.readouterr().err
+    alpha = ("--alpha0", "2")
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=alpha)) == 4
+    assert "alpha0 must be in (0, 1], got 2.0" in capsys.readouterr().err
     bad_mask = tmp_path / "bad.mask"
     assert (
         run_cli(
@@ -455,15 +452,22 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_single_neuron_lattice_exit4_before_loading(workspace, tmp_path, capsys):
-    out = tmp_path / "tiny"
+def test_single_neuron_som_pipeline(workspace, tmp_path):
+    """A 1x1 map trains, evaluates and exports; its one neuron is its own
+    second match, so every TE is 0."""
+    dataset = workspace / "gen" / "dataset.csv"
     lattice = ("--mode", "som", "--rows", "1", "--cols", "1")
-    assert run_cli(*train_args(out, workspace / "gen" / "dataset.csv", extra=lattice)) == 4
-    assert not out.exists()
-    # the lattice is rejected before the (here missing) dataset is opened
-    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=lattice)) == 4
-    assert "at least 2 neurons, got a 1x1 lattice" in capsys.readouterr().err
-    assert not out.exists()
+    assert run_cli(*train_args(tmp_path / "run", dataset, epochs=2, extra=lattice)) == 0
+    model = str(tmp_path / "run" / "model.json")
+    assert run_cli("evaluate", "--model", model, "--dataset-path", str(dataset),
+                   "--out", str(tmp_path / "eval")) == 0
+    assert run_cli("export", "--model", model, "--out", str(tmp_path / "exp")) == 0
+    log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()[1:]
+    assert [line.rpartition(",")[2] for line in log] == ["0", "0"]
+    assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["topographic_error"] == 0
+    report = json.loads((tmp_path / "exp" / "report.json").read_text())
+    assert len(report["neurons"]) == 1
+    assert report["cluster_separation_ratio"] is None
 
 
 def test_lattice_above_neuron_limit_exit4_before_any_work(workspace, tmp_path, capsys, no_work):
@@ -510,18 +514,20 @@ def test_evaluate_metrics_deterministic(workspace, tmp_path):
         assert code == 0
     assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
     metrics = json.loads((out1 / "metrics.json").read_text())
+    assert list(metrics) == [
+        "format", "version", "n_samples", "quantization_error", "topographic_error"
+    ]
     assert metrics["format"] == "rfsom-metrics"
+    assert metrics["version"] == 2
     assert metrics["n_samples"] == 120
     assert metrics["quantization_error"] > 0.0
     assert 0.0 <= metrics["topographic_error"] <= 1.0
-    assert metrics["cluster_separation_reference"] == 0.5
-    assert np.isfinite(metrics["cluster_separation_ratio"])
 
 
 def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
     """A masked-off weight at the magnitude limit changes neither QE nor TE,
-    and the separation ratio, which reads it through union distances, stays
-    finite."""
+    and the exported separation ratio, which reads it through union
+    distances, stays finite."""
     doc = json.loads((workspace / "run" / "model.json").read_text())
     neuron, dim = np.argwhere(np.array(doc["mask"]["mask"]) == 0)[0]
     doc["codebook"][neuron][dim] = 1e100
@@ -536,7 +542,9 @@ def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
         metrics.append(json.loads((out / "metrics.json").read_text()))
     for key in ("quantization_error", "topographic_error"):
         assert metrics[1][key] == metrics[0][key] is not None, key
-    assert np.isfinite(metrics[1]["cluster_separation_ratio"])
+    assert run_cli("export", "--model", str(huge), "--out", str(tmp_path / "exp")) == 0
+    report = json.loads((tmp_path / "exp" / "report.json").read_text())
+    assert np.isfinite(report["cluster_separation_ratio"])
 
 
 def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
@@ -739,6 +747,11 @@ def test_export_writes_full_artifact_set(workspace, tmp_path):
     assert names == want
     report = json.loads((out / "report.json").read_text())
     assert report["format"] == "rfsom-report"
+    assert report["version"] == 2
+    assert list(report["neurons"][0]) == [
+        "index", "group", "active_joints", "weights", "argmax_joint"
+    ]
+    assert report["cluster_separation_reference"] == 0.5
     assert report["group_order"] == ["head", "shoulder", "elbow", "wrist"]
     assert len(report["neurons"]) == 16
     assert len(report["distance_map"]) == 4
@@ -802,10 +815,11 @@ def test_model_round_trip_bytes(workspace, tmp_path, extra, null):
 
 def test_load_model_diagnostics(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text('{"format": "rfsom-model", "version": 1}')
-    with pytest.raises(ParseError, match="unsupported model version 1"):
-        load_model(path)
-    path.write_text('{"format": "rfsom-model", "version": 2}')
+    for version in (1, 2):
+        path.write_text(f'{{"format": "rfsom-model", "version": {version}}}')
+        with pytest.raises(ParseError, match=f"unsupported model version {version}"):
+            load_model(path)
+    path.write_text('{"format": "rfsom-model", "version": 3}')
     with pytest.raises(ParseError, match="missing key 'run_config'"):
         load_model(path)
 
@@ -822,6 +836,7 @@ def _truncate_normalization(doc):
 # edit of a valid model document -> expected ParseError message
 BAD_MODELS = {
     "version-1": (lambda doc: doc.update(version=1), "unsupported model version 1"),
+    "version-2": (lambda doc: doc.update(version=2), "unsupported model version 2"),
     "unknown-top-level-key": (
         lambda doc: doc.update(lattice={"rows": 4, "cols": 4}), "unknown key 'lattice'"
     ),
@@ -853,16 +868,12 @@ BAD_MODELS = {
     "normalization-length": (_truncate_normalization, "normalization has 6 entries for 7 dims"),
     "run-config-unknown-key": (_set("run_config", "lattice.shape", "hex"), "unknown config key"),
     "run-config-malformed": (
-        _set("run_config", "combination_threshold", "x"), "invalid configuration"
+        _set("run_config", "schedule.alpha0", "x"), "invalid configuration"
     ),
     "run-config-non-string": (_set("run_config", "seed", 5), "'seed' has unexpected type int"),
     "lattice-above-neuron-limit": (
         _set("run_config", "lattice.rows", str(MAX_NEURONS + 1)),
         f"run_config: invalid configuration: lattice.rows x lattice.cols = {MAX_NEURONS + 1}x4",
-    ),
-    "threshold-out-of-range": (
-        _set("run_config", "combination_threshold", "2"),
-        "invalid configuration: combination_threshold must be in (0, 1], got 2.0",
     ),
     "mrf-without-mask": (lambda doc: doc.update(mask=None), "mode 'mrf' needs a mask"),
     "som-with-mask": (
@@ -880,6 +891,9 @@ def test_malformed_model_rejected_before_any_write(workspace, tmp_path, edit, me
     with pytest.raises(ParseError, match=re.escape(message)):
         load_model(path)
     out = tmp_path / "out"
+    dataset = str(workspace / "gen" / "dataset.csv")
+    assert run_cli("evaluate", "--model", str(path), "--dataset-path", dataset,
+                   "--out", str(out)) == 4
     assert run_cli("export", "--model", str(path), "--out", str(out)) == 4
     assert not out.exists()
 

@@ -4,6 +4,12 @@ versions, so numerics or format drift shows up as a failing digest.
 The digests were recorded before the config-table rewrite of ``rfsom.cli``;
 the three ``*/train`` digests were re-recorded when model.json became
 version 2 (no duplicated configuration blocks, no ``lattice.layout`` key).
+All nine ``*/train``, ``*/eval`` and ``*/export`` digests were re-recorded
+when the weight-sign neuron classification and its ``combination_threshold``
+key went: model.json version 3 has one ``run_config`` key fewer, metrics.json
+version 2 holds only the dataset's sample count, QE and TE (the separation
+ratio stays in report.json), and report.json version 2 has no
+``classification``. Codebooks, training logs, QE and TE kept every byte.
 A change that alters any artifact on purpose updates them and says why.
 
 The sampler digests pin the rows and the draw count of ``synthesize_self_touch``
@@ -27,15 +33,15 @@ TRAINS = {
 
 GOLDEN = {
     "gen": "b55e13e4910bc9d37a4030c680bd960b8c4691478837c7739631013f48dd2649",
-    "mrf-global/train": "ec49c1e4c114655ec44470cef7a7a8299b1af3de5bad2145d0f516aa8a370df6",
-    "mrf-global/eval": "2778e0bdc77465fa6c7909ae0c807e616f22aea7952c07174431f082fe485f5d",
-    "mrf-global/export": "69eb2462d398e94c2d89d381810e5630e8f1ec39a0bb907900e2d9622757f91f",
-    "mrf-group/train": "5e66c1acb7c6a8e3c80d2d3fa2f43340368b72c9814ab45178739cd48cce492c",
-    "mrf-group/eval": "662838a1dc310827652f640a3d90871ff38049567305e08aeb761e945f1af1cd",
-    "mrf-group/export": "50848c7dde14120db87da2cf582118c154777e4bba2ccf10489e6bed6965ed62",
-    "som/train": "f0f7c8e3cd66e076fa8e656f8efd56f8f4addc5d0feb54a598ce0a0a626ce118",
-    "som/eval": "5699ed4132da2ac800d75e5eaf015d080f8c3aaf7268aced3e25b81803f17d46",
-    "som/export": "f0784ddad8ba2326e3142a5668874c63708d7617403e70e5347f8a3fc29bf2f4",
+    "mrf-global/train": "a70dcbf155a42546bbe63def327869a81f8c7bfa8882bc7a270b39b3edddea73",
+    "mrf-global/eval": "04a43a36e7ff8ba61b662e3052b2c561d49f96197756cc35dc4648cdfc3f65d4",
+    "mrf-global/export": "b3bbf6d140311dfd244bb4e6cac092b6d6c8f5a35773fc5f7b12f666de6401a6",
+    "mrf-group/train": "c6ce608e842a7064e13a26d03458f72492b9826c0900d0f19b21aef9f5ab0e03",
+    "mrf-group/eval": "342eabf90a90cb966d3ac16bb66dcaf7d8da24fa39baffd16fee066fe317cddc",
+    "mrf-group/export": "af7a32aeabb42ad2c86fb7c394eac42226a894ff5054751d6f8f1b57edfb6e1f",
+    "som/train": "569114b4f8a8fa34c3266481c93a0e9067f295cb3c8fcf4043873e3d16e0ebb0",
+    "som/eval": "e03d932af24f44b65e941d3ddbae81fbebe47f98f897647a0e3e54e2b289fa8f",
+    "som/export": "76c4e3dea6e977a88c116b0a3c9506e6a4024e3311f51cb72640655910411b75",
 }
 
 

@@ -278,8 +278,7 @@ def test_topographic_error_examples():
     X = np.array([[0.1], [0.9], [0.5]])
     assert topographic_error(cb, X) == 0.0
     single = Codebook(np.array([[0.0]]), LatticeSpec(rows=1, cols=1))
-    with pytest.raises(ValueError):
-        topographic_error(single, X)
+    assert topographic_error(single, X) == 0.0
 
 
 def test_metrics_match_scalar_oracles():
