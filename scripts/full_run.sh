@@ -13,7 +13,7 @@ run() { python3 -m rfsom "$@"; }
 run generate --seed "$SEED" --n "$N" --out "$OUT/gen"
 run train --seed "$SEED" --dataset "$OUT/gen/dataset.csv" --out "$OUT/run"
 run evaluate --model "$OUT/run/model.json" --dataset-path "$OUT/gen/dataset.csv" \
-    --seed "$SEED" --out "$OUT/eval"
-run export --model "$OUT/run/model.json" --seed "$SEED" --out "$OUT/exp"
+    --out "$OUT/eval"
+run export --model "$OUT/run/model.json" --out "$OUT/exp"
 
 echo "artifacts in $OUT/"

@@ -3,8 +3,7 @@
 A run is described by a flat key=value config (file and/or flags; flags win)
 that resolves into one ``RunConfig``. Every artifact a command writes is
 deterministic for a fixed configuration and seed: no timestamps, stable key
-order, and 17-significant-digit floats. The only paths written are the
-``out``, ``dataset`` and ``mask`` values in model.json, as they were typed.
+order, and 17-significant-digit floats.
 
 Exit codes: 0 success, 2 usage, 3 sampling failure, 4 data/config error,
 5 I/O error.
@@ -62,8 +61,6 @@ from .som import Codebook, TrainSchedule, _as_masked, init_codebook, train
 
 MODES = ("som", "mrf")
 
-DEFAULT_MASK = "default"
-
 # Largest map a run may configure. Training and scoring hold an N x N lattice
 # table, so a mistyped lattice size would otherwise fail as a MemoryError
 # deep inside a command.
@@ -76,9 +73,6 @@ class RunConfig:
 
     mode: str = "mrf"
     seed: int = 0
-    out: str = ""
-    dataset: str = ""
-    mask: str = DEFAULT_MASK
     n: int = 3216
     max_attempts: int | None = None
     lattice: LatticeSpec = LatticeSpec()
@@ -169,16 +163,12 @@ class Field:
         )
 
 
-# Every config key, in manifest order. Parsing, the run_config manifest, the
-# subcommand flags and their help are all derived from this table.
+# Every config key, in manifest order. Parsing, the run_config manifest (the
+# train keys), the subcommand flags and their help all derive from this table.
 # fmt: off
 FIELDS = (
     Field("mode", *_STR, _TRAIN, "map variant to train: som (unrestricted) or mrf (masked)"),
     Field("seed", *_INT, _ALL, "run seed; drives sampling, weight init, and shuffling"),
-    Field("out", *_STR, _ALL, "output directory (created if missing)"),
-    Field("dataset", *_STR, _TRAIN, "dataset CSV path"),
-    Field("mask", *_STR, _TRAIN, f"receptive-field mask file, or '{DEFAULT_MASK}' for the "
-          "built-in 4x4 quadrant mask over the 7 joints"),
     Field("n", *_INT, _GEN, "number of samples to generate"),
     Field("max_attempts", *_ATTEMPTS, _GEN,
           "cap on sampling attempts ('auto' = max(100000, 20000*n))"),
@@ -249,12 +239,16 @@ def _lookup(obj, path: tuple):
     return obj
 
 
-def run_config_items(cfg: RunConfig) -> dict[str, str]:
-    """Canonical flat view of a RunConfig (the reproducibility manifest)."""
-    return {field.key: field.format(_lookup(cfg, field.path)) for field in FIELDS}
+# the keys model.json records: those train reads, since its run made the map
+_RUN_CONFIG_FIELDS = tuple(field for field in FIELDS if "train" in field.commands)
 
 
-_DEFAULTS = run_config_items(RunConfig())
+def run_config_items(cfg: RunConfig, fields=_RUN_CONFIG_FIELDS) -> dict[str, str]:
+    """Canonical flat view of a RunConfig over ``fields``, by default model.json's."""
+    return {field.key: field.format(_lookup(cfg, field.path)) for field in fields}
+
+
+_DEFAULTS = run_config_items(RunConfig(), FIELDS)
 
 
 @dataclass(frozen=True)
@@ -319,7 +313,7 @@ def save_model(model: Model, path) -> None:
     mask = model.mask
     doc = {
         "format": "rfsom-model",
-        "version": 3,
+        "version": 4,
         "normalization": {
             "mean": model.normalization.mean.tolist(),
             "std": model.normalization.std.tolist(),
@@ -390,12 +384,13 @@ def load_model(path) -> Model:
         raise ParseError(f"{path}: model document must be a JSON object")
     if doc.get("format") != "rfsom-model":
         raise ParseError(f"{path}: not a model file (format={doc.get('format')!r})")
-    if doc.get("version") != 3:
+    if doc.get("version") != 4:
         raise ParseError(f"{path}: unsupported model version {doc.get('version')!r}")
     _check_keys(doc, _MODEL_KEYS, path)
     run_config = _expect(doc, "run_config", dict, path)
     for key in run_config:
         _expect(run_config, key, str, f"{path}: run_config")
+    _check_keys(run_config, (field.key for field in _RUN_CONFIG_FIELDS), f"{path}: run_config")
     try:
         cfg = build_run_config(run_config)
     except ValueError as exc:
@@ -419,21 +414,10 @@ def load_model(path) -> Model:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _resolve_mask(cfg: RunConfig) -> ReceptiveFieldMask:
-    if cfg.mask == DEFAULT_MASK:
-        return default_quadrant_mask()
-    return load_mask(cfg.mask)
-
-
-def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
-
-
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, out: str) -> int:
     """Sample self-touch configurations; write dataset.csv and a manifest."""
     result = synthesize_self_touch(cfg.chain, cfg.n, cfg.seed, cfg.max_attempts)
-    out = _ensure_out(cfg)
+    os.makedirs(out, exist_ok=True)
     save_csv(result.data, os.path.join(out, "dataset.csv"))
     manifest = {
         "format": "rfsom-generate-manifest",
@@ -453,12 +437,13 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    """Normalize the dataset, train the configured map, write model + log."""
-    if not cfg.dataset:
-        raise ValueError("no dataset configured (dataset=<csv path>)")
-    mask = _resolve_mask(cfg) if cfg.mode == "mrf" else None
-    raw = load_csv(cfg.dataset)
+def cmd_train(cfg: RunConfig, dataset: str, mask_path: str | None, out: str) -> int:
+    """Normalize the dataset, train the configured map, write model + log;
+    an mrf map without ``mask_path`` gets the built-in quadrant mask."""
+    mask = None
+    if cfg.mode == "mrf":
+        mask = default_quadrant_mask() if mask_path is None else load_mask(mask_path)
+    raw = load_csv(dataset)
     normalization = fit_normalization(raw)
     data = apply_normalization(raw, normalization)
     codebook = init_codebook(cfg.lattice, raw.shape[1], cfg.seed)
@@ -466,7 +451,7 @@ def cmd_train(cfg: RunConfig) -> int:
         trained, log = mrf_train(codebook, data, mask, cfg.schedule, cfg.mrf_config)
     else:
         trained, log = train(codebook, data, cfg.schedule)
-    out = _ensure_out(cfg)
+    os.makedirs(out, exist_ok=True)
     save_model(_model(cfg, trained, mask, normalization), os.path.join(out, "model.json"))
     lines = ["epoch,quantization_error,topographic_error"]
     for epoch, (qe, te) in enumerate(
@@ -489,7 +474,7 @@ def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
     return model.mask, model.mrf_config
 
 
-def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
+def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str, out: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
     raw = load_csv(dataset_path)
@@ -497,7 +482,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     mask, mrf_config = _masked_map(model)
     qe = masked_quantization_error(model.codebook, data, mask, mrf_config)
     te = masked_topographic_error(model.codebook, data, mask, mrf_config)
-    out = _ensure_out(cfg)
+    os.makedirs(out, exist_ok=True)
     metrics = {
         "format": "rfsom-metrics",
         "version": 2,
@@ -510,7 +495,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str) -> int:
     return 0
 
 
-def cmd_export(cfg: RunConfig, model_path: str) -> int:
+def cmd_export(cfg: RunConfig, model_path: str, out: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     model = load_model(model_path)
     mask, _ = _masked_map(model)
@@ -520,7 +505,7 @@ def cmd_export(cfg: RunConfig, model_path: str) -> int:
     # the ratio needs every body group; a map without them reports null
     grouped = set(BODY_GROUPS) <= set(report.group_order)
     ratio = cluster_separation_ratio(report) if grouped else None
-    out = _ensure_out(cfg)
+    os.makedirs(out, exist_ok=True)
     for joint, grid in zip(model.joints, grids):
         atomic_write_text(os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid))
         image, sidecar = heatmap_pgm_bytes(grid)
@@ -551,14 +536,27 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return build_run_config(flat)
 
 
-# subcommand -> (handler, help, required path options passed to the handler after cfg)
+# subcommand -> (handler, help, path options passed to the handler after cfg).
+# File paths are options, never config keys, so no artifact records one.
 _COMMANDS = {
-    "generate": (cmd_generate, "sample self-touch configurations to CSV", ()),
-    "train": (cmd_train, "train a map on a dataset", ()),
-    "evaluate": (cmd_evaluate, "score a trained model on a dataset", ("model", "dataset_path")),
-    "export": (cmd_export, "write heatmaps, distance map, and report", ("model",)),
+    "generate": (cmd_generate, "sample self-touch configurations to CSV", ("out",)),
+    "train": (cmd_train, "train a map on a dataset", ("dataset", "mask", "out")),
+    "evaluate": (cmd_evaluate, "score a model on a dataset", ("model", "dataset_path", "out")),
+    "export": (cmd_export, "write heatmaps, distance map, and report", ("model", "out")),
 }
-_PATH_HELP = {"model": "trained model.json", "dataset_path": "dataset CSV"}
+# every path option but --mask is required
+_PATH_HELP = {
+    "out": "output directory (created if missing)", "dataset": "dataset CSV",
+    "dataset_path": "dataset CSV", "model": "trained model.json",
+    "mask": "receptive-field mask file (default: the built-in 4x4 quadrant mask over 7 joints)",
+}
+
+
+def _path(text: str) -> str:
+    """A path option's value; an empty one (an unset shell variable) is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,13 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any config key, e.g. --set chain.limit.wrist=-1.0,1.0 (repeatable)",
         )
         for option in paths:
-            p.add_argument("--" + option.replace("_", "-"), required=True, help=_PATH_HELP[option])
+            p.add_argument(
+                "--" + option.replace("_", "-"), type=_path, required=option != "mask",
+                help=_PATH_HELP[option],
+            )
         for field in FIELDS:
             if name in field.commands:
                 p.add_argument(
                     "--" + field.flag.replace("_", "-"),
                     metavar="V",
-                    help=f"{field.help} (default: {_DEFAULTS[field.key] or 'none'})",
+                    help=f"{field.help} (default: {_DEFAULTS[field.key]})",
                 )
         p.set_defaults(func=func, paths=paths)
     return parser
@@ -602,8 +603,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        if not cfg.out:
-            raise ValueError("no output directory configured (out=<dir>)")
         return args.func(cfg, *(getattr(args, option) for option in args.paths))
     except (SamplingError, ValueError, OSError) as exc:
         # ParseError is a ValueError: malformed and missing inputs exit 4

@@ -88,8 +88,8 @@ def test_parse_config_file(tmp_path):
 def test_build_run_config_defaults_and_round_trip():
     cfg = build_run_config({})
     assert cfg == RunConfig()
-    assert cfg.mode == "mrf" and cfg.n == 3216 and cfg.mask == "default"
-    assert build_run_config(run_config_items(cfg)) == cfg
+    assert cfg.mode == "mrf" and cfg.n == 3216
+    assert build_run_config(run_config_items(cfg, FIELDS)) == cfg
     custom = build_run_config(
         {
             "seed": "11",
@@ -104,7 +104,25 @@ def test_build_run_config_defaults_and_round_trip():
     assert custom.lattice.rows == 8
     assert custom.chain.joint_limits[6] == (-0.5, 0.5)
     assert custom.max_attempts == 123
-    assert build_run_config(run_config_items(custom)) == custom
+    assert build_run_config(run_config_items(custom, FIELDS)) == custom
+    # the default view is model.json's: the train keys, without n or chain.*
+    assert build_run_config(run_config_items(custom)) == dataclasses.replace(
+        custom, max_attempts=None, chain=RunConfig().chain
+    )
+
+
+@pytest.mark.parametrize("key", ["out", "dataset", "mask"])
+def test_path_config_keys_unknown_exit4(workspace, tmp_path, capsys, no_work, key):
+    """Paths are command options only: as a config key, in a file or through
+    --set, each is refused before any work or write."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}=x\n")
+    out = tmp_path / "out"
+    base = ["train", "--dataset", str(workspace / "gen" / "dataset.csv"), "--out", str(out)]
+    for extra in (["--set", f"{key}=x"], ["--config", str(cfg_file)]):
+        assert run_cli(*base, *extra) == 4
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not out.exists()
 
 
 def test_build_run_config_rejects_bad_input():
@@ -157,7 +175,7 @@ def test_set_overrides(tmp_path):
 # each subcommand's flags and the default its help shows (None: no default)
 FLAG_SURFACE = {
     "generate": {
-        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": "none",
+        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": None,
         "--n": "3216", "--max-attempts": "auto", "--upper-arm": "0.105",
         "--forearm-hand": "0.114",
         "--shoulder-offset": "0,-0.098000000000000004,0.10000000000000001",
@@ -165,8 +183,9 @@ FLAG_SURFACE = {
         "--touch-radius": "0.029999999999999999",
     },
     "train": {
-        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": "none",
-        "--dataset": "none", "--mode": "mrf", "--mask": "default", "--rows": "4",
+        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": None,
+        "--dataset": None, "--mode": "mrf",
+        "--mask": "the built-in 4x4 quadrant mask over 7 joints", "--rows": "4",
         "--cols": "4", "--metric": "manhattan", "--epochs": "100",
         "--alpha0": "0.5", "--alpha-end": "0.01", "--sigma0": "2", "--sigma-end": "0.5",
         "--decay": "exponential", "--bmu-scope": "global-masked",
@@ -174,20 +193,20 @@ FLAG_SURFACE = {
     },
     "evaluate": {
         "--help": None, "--config": None, "--set": None, "--model": None,
-        "--dataset-path": None, "--seed": "0", "--out": "none",
+        "--dataset-path": None, "--seed": "0", "--out": None,
     },
     "export": {
         "--help": None, "--config": None, "--set": None, "--model": None, "--seed": "0",
-        "--out": "none",
+        "--out": None,
     },
 }
 
 # flagged config key -> a valid non-default value
 FLAG_VALUES = {
-    "seed": "7", "out": "o", "n": "10", "max_attempts": "99", "chain.upper_arm": "0.2",
+    "seed": "7", "n": "10", "max_attempts": "99", "chain.upper_arm": "0.2",
     "chain.forearm_hand": "0.3", "chain.shoulder_offset": "0,0,0.1",
-    "chain.face_target": "0.1,0,0", "chain.touch_radius": "0.4", "dataset": "d.csv",
-    "mode": "som", "mask": "m.mask", "lattice.rows": "3", "lattice.cols": "5",
+    "chain.face_target": "0.1,0,0", "chain.touch_radius": "0.4",
+    "mode": "som", "lattice.rows": "3", "lattice.cols": "5",
     "lattice.metric": "hex-axial", "schedule.epochs": "7",
     "schedule.alpha0": "0.4", "schedule.alpha_end": "0.02", "schedule.sigma0": "1.5",
     "schedule.sigma_end": "0.25", "schedule.decay": "linear", "mrf.bmu_scope": "per-group",
@@ -195,8 +214,10 @@ FLAG_VALUES = {
 }
 
 REQUIRED = {
-    "evaluate": ["--model", "m.json", "--dataset-path", "d.csv"],
-    "export": ["--model", "m.json"],
+    "generate": ["--out", "o"],
+    "train": ["--dataset", "d.csv", "--out", "o"],
+    "evaluate": ["--model", "m.json", "--dataset-path", "d.csv", "--out", "o"],
+    "export": ["--model", "m.json", "--out", "o"],
 }
 
 
@@ -222,7 +243,7 @@ def test_flag_equals_set_override():
     flag_of = {"--" + key.rpartition(".")[2].replace("_", "-"): key for key in FLAG_VALUES}
     checked = set()
     for command, flags in FLAG_SURFACE.items():
-        base = [command, *REQUIRED.get(command, [])]
+        base = [command, *REQUIRED[command]]
         for flag in flags:
             key = flag_of.get(flag)
             if key is None:
@@ -349,11 +370,29 @@ def test_generate_bad_chain_exit4_before_sampling(tmp_path, capsys, no_work, opt
     assert not out.exists()
 
 
-def test_missing_out_exit4_before_any_work(workspace, capsys, no_work):
+def test_missing_or_empty_path_exit2_before_any_work(workspace, tmp_path, capsys, no_work):
+    """A missing --out or train --dataset, or an empty path option (an unset
+    shell variable), is a usage error, refused before any sampling,
+    training or write."""
     dataset = str(workspace / "gen" / "dataset.csv")
-    for argv in (["generate", "--n", "5", *EASY], ["train", "--dataset", dataset]):
-        assert run_cli(*argv) == 4
-        assert capsys.readouterr().err == "error: no output directory configured (out=<dir>)\n"
+    model = str(workspace / "run" / "model.json")
+    out = str(tmp_path / "out")
+    required = "the following arguments are required: "
+    cases = [
+        (["generate", "--n", "5", *EASY], required + "--out"),
+        (["generate", "--n", "5", *EASY, "--out", ""], "argument --out: expected a path, got ''"),
+        (["train", "--dataset", dataset], required + "--out"),
+        (["train", "--dataset", dataset, "--out", ""], "argument --out: expected a path"),
+        (["train", "--out", out], required + "--dataset"),
+        (["train", "--dataset", "", "--out", out], "argument --dataset: expected a path"),
+        (["train", "--dataset", dataset, "--mask", "", "--out", out], "argument --mask: "),
+        (["evaluate", "--model", model, "--dataset-path", dataset], required + "--out"),
+        (["export", "--model", model, "--out", ""], "argument --out: expected a path"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not os.path.exists(out)
 
 
 # ------------------------------------------------------------- train
@@ -410,8 +449,6 @@ def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
 
 def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     out = tmp_path / "nope"
-    assert run_cli("train", "--out", str(out)) == 4
-    assert capsys.readouterr().err == "error: no dataset configured (dataset=<csv path>)\n"
     assert run_cli(*train_args(out, tmp_path / "missing.csv")) == 4
     assert not out.exists()
     one_row = tmp_path / "one_row.csv"
@@ -813,13 +850,42 @@ def test_model_round_trip_bytes(workspace, tmp_path, extra, null):
     assert copy.read_bytes() == path.read_bytes()
 
 
+# model.json's run_config: the keys train reads, in FIELDS order
+RUN_CONFIG_KEYS = [
+    "mode", "seed", "lattice.rows", "lattice.cols", "lattice.metric", "schedule.epochs",
+    "schedule.alpha0", "schedule.alpha_end", "schedule.sigma0", "schedule.sigma_end",
+    "schedule.decay", "mrf.bmu_scope", "mrf.distance_normalization",
+]
+
+
+@pytest.mark.parametrize("mode", ["mrf", "som"])
+def test_model_file_records_no_path(workspace, tmp_path, monkeypatch, mode):
+    """model.json holds the 13 training keys and no path, so the same run
+    given relative and then absolute paths writes the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "gen" / "dataset.csv").write_bytes((workspace / "gen" / "dataset.csv").read_bytes())
+    extra = ("--mode", mode)
+    assert run_cli(*train_args("rel", "gen/dataset.csv", epochs=2, extra=extra)) == 0
+    assert run_cli(*train_args(tmp_path / "abs", tmp_path / "gen" / "dataset.csv", epochs=2,
+                               extra=extra)) == 0
+    assert (tmp_path / "rel" / "model.json").read_bytes() == (
+        tmp_path / "abs" / "model.json"
+    ).read_bytes()
+    run_config = json.loads((tmp_path / "rel" / "model.json").read_text())["run_config"]
+    assert list(run_config) == RUN_CONFIG_KEYS == [
+        field.key for field in FIELDS if field.key in RUN_CONFIG_KEYS
+    ]
+    assert run_config["mode"] == mode
+
+
 def test_load_model_diagnostics(tmp_path):
     path = tmp_path / "m.json"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_text(f'{{"format": "rfsom-model", "version": {version}}}')
         with pytest.raises(ParseError, match=f"unsupported model version {version}"):
             load_model(path)
-    path.write_text('{"format": "rfsom-model", "version": 3}')
+    path.write_text('{"format": "rfsom-model", "version": 4}')
     with pytest.raises(ParseError, match="missing key 'run_config'"):
         load_model(path)
 
@@ -837,6 +903,7 @@ def _truncate_normalization(doc):
 BAD_MODELS = {
     "version-1": (lambda doc: doc.update(version=1), "unsupported model version 1"),
     "version-2": (lambda doc: doc.update(version=2), "unsupported model version 2"),
+    "version-3": (lambda doc: doc.update(version=3), "unsupported model version 3"),
     "unknown-top-level-key": (
         lambda doc: doc.update(lattice={"rows": 4, "cols": 4}), "unknown key 'lattice'"
     ),
@@ -866,7 +933,12 @@ BAD_MODELS = {
         "'std' must be a 1-D array of numbers",
     ),
     "normalization-length": (_truncate_normalization, "normalization has 6 entries for 7 dims"),
-    "run-config-unknown-key": (_set("run_config", "lattice.shape", "hex"), "unknown config key"),
+    "run-config-unknown-key": (
+        _set("run_config", "lattice.shape", "hex"), "run_config: unknown key 'lattice.shape'"
+    ),
+    # config keys that train does not read, so its model does not record them
+    "run-config-out": (_set("run_config", "out", "run"), "run_config: unknown key 'out'"),
+    "run-config-n": (_set("run_config", "n", "3216"), "run_config: unknown key 'n'"),
     "run-config-malformed": (
         _set("run_config", "schedule.alpha0", "x"), "invalid configuration"
     ),

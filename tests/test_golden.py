@@ -10,6 +10,10 @@ key went: model.json version 3 has one ``run_config`` key fewer, metrics.json
 version 2 holds only the dataset's sample count, QE and TE (the separation
 ratio stays in report.json), and report.json version 2 has no
 ``classification``. Codebooks, training logs, QE and TE kept every byte.
+The three ``*/train`` digests were re-recorded again when file paths left
+the configuration: model.json version 4 records only the 13 keys ``train``
+reads, with no ``out``, ``dataset`` or ``mask`` path and no ``n``,
+``max_attempts`` or ``chain.*`` key; every other artifact kept every byte.
 A change that alters any artifact on purpose updates them and says why.
 
 The sampler digests pin the rows and the draw count of ``synthesize_self_touch``
@@ -33,13 +37,13 @@ TRAINS = {
 
 GOLDEN = {
     "gen": "b55e13e4910bc9d37a4030c680bd960b8c4691478837c7739631013f48dd2649",
-    "mrf-global/train": "a70dcbf155a42546bbe63def327869a81f8c7bfa8882bc7a270b39b3edddea73",
+    "mrf-global/train": "58c7a6e4f003cfabfc7f3c67923fccefb5170aa3e719a2ea4baf0cdb540f40e1",
     "mrf-global/eval": "04a43a36e7ff8ba61b662e3052b2c561d49f96197756cc35dc4648cdfc3f65d4",
     "mrf-global/export": "b3bbf6d140311dfd244bb4e6cac092b6d6c8f5a35773fc5f7b12f666de6401a6",
-    "mrf-group/train": "c6ce608e842a7064e13a26d03458f72492b9826c0900d0f19b21aef9f5ab0e03",
+    "mrf-group/train": "1fe29474bac0c44fe46a9379d593a71dcd9dc71ab546da80102500b67dc85f52",
     "mrf-group/eval": "342eabf90a90cb966d3ac16bb66dcaf7d8da24fa39baffd16fee066fe317cddc",
     "mrf-group/export": "af7a32aeabb42ad2c86fb7c394eac42226a894ff5054751d6f8f1b57edfb6e1f",
-    "som/train": "569114b4f8a8fa34c3266481c93a0e9067f295cb3c8fcf4043873e3d16e0ebb0",
+    "som/train": "fea5d624fc964bda7473880d922d90c79c305ad18733694e42cd59456c43c669",
     "som/eval": "e03d932af24f44b65e941d3ddbae81fbebe47f98f897647a0e3e54e2b289fa8f",
     "som/export": "76c4e3dea6e977a88c116b0a3c9506e6a4024e3311f51cb72640655910411b75",
 }
@@ -54,7 +58,7 @@ def _tree_digest(root) -> str:
 
 
 def test_golden_cli_tree(tmp_path, monkeypatch):
-    # relative paths: model.json records out/dataset as given
+    # relative paths, though no artifact records a path
     monkeypatch.chdir(tmp_path)
     argv = [["generate", "--n", "60", "--seed", "3", "--touch-radius", "0.5", "--out", "gen"]]
     for name, extra in TRAINS.items():
