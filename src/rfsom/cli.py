@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, train, evaluate, export.
 
-A run is described by a flat key=value config (file and/or flags; flags win)
-that resolves into one ``RunConfig``. Every artifact a command writes is
+A run is described by the flat config keys of ``FIELDS``, each set by one
+flag on the commands that read it and otherwise at its default; together
+they resolve into one ``RunConfig``. Every artifact a command writes is
 deterministic for a fixed configuration and seed: no timestamps, stable key
 order, and 17-significant-digit floats.
 
@@ -97,26 +98,6 @@ def _parse_vector(text: str, length: int) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; ``#`` comments and blank lines ignored."""
-    flat: dict[str, str] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ParseError(f"{path}: line {lineno}: empty key")
-        if key in flat:
-            raise ParseError(f"{path}: line {lineno}: duplicate key {key!r}")
-        flat[key] = value
-    return flat
-
-
 def _format_vector(values) -> str:
     return ",".join(format_float(v) for v in values)
 
@@ -142,7 +123,9 @@ _ATTRS = {"mrf": "mrf_config", "axes": "joint_axes", "limit": "joint_limits"}
 @dataclass(frozen=True)
 class Field:
     """One flat config key: its parser and formatter, the subcommands that
-    give it a dedicated ``--<flag>`` option, and its help text."""
+    take it as their ``--<flag>`` option, its only spelling, and its help
+    text. A subcommand takes the keys it reads; evaluate and export read
+    none but take ``seed``, so one seed can be passed to every command."""
 
     key: str
     parse: Callable[[str], object]
@@ -168,7 +151,8 @@ class Field:
 # fmt: off
 FIELDS = (
     Field("mode", *_STR, _TRAIN, "map variant to train: som (unrestricted) or mrf (masked)"),
-    Field("seed", *_INT, _ALL, "run seed; drives sampling, weight init, and shuffling"),
+    Field("seed", *_INT, _ALL,
+          "run seed; drives sampling, weight init, and shuffling (unused by evaluate, export)"),
     Field("n", *_INT, _GEN, "number of samples to generate"),
     Field("max_attempts", *_ATTEMPTS, _GEN,
           "cap on sampling attempts ('auto' = max(100000, 20000*n))"),
@@ -190,8 +174,9 @@ FIELDS = (
     Field("chain.forearm_hand", *_FLOAT, _GEN, "forearm+hand link length (m)"),
     Field("chain.face_target", *_VECTOR3, _GEN, "face target in head frame, 'x,y,z' (m)"),
     Field("chain.touch_radius", *_FLOAT, _GEN, "touch acceptance radius (m)"),
-    Field("chain.axes", *_AXES, (), "rotation axis (x, y or z) of each joint, comma-separated"),
-    *(Field(f"chain.limit.{name}", *_LIMITS, (), f"{name} angle limits 'lo,hi' (rad)")
+    Field("chain.axes", *_AXES, _GEN, "rotation axis (x, y or z) of each joint, comma-separated"),
+    *(Field(f"chain.limit.{name}", *_LIMITS, _GEN,
+            f"{name} angle limits (rad), as --{name.replace('_', '-')}=lo,hi")
       for name in JOINT_NAMES),
 )
 # fmt: on
@@ -208,7 +193,7 @@ def _assemble(default, tree):
 
 
 def build_run_config(flat: dict[str, str]) -> RunConfig:
-    """Typed RunConfig from a merged flat key=value mapping."""
+    """Typed RunConfig from a flat key=value mapping; an absent key keeps its default."""
     merged = dict(_DEFAULTS)
     for key, value in flat.items():
         if key not in merged:
@@ -440,6 +425,10 @@ def cmd_generate(cfg: RunConfig, out: str) -> int:
 def cmd_train(cfg: RunConfig, dataset: str, mask_path: str | None, out: str) -> int:
     """Normalize the dataset, train the configured map, write model + log;
     an mrf map without ``mask_path`` gets the built-in quadrant mask."""
+    if cfg.mode == "som" and (mask_path is not None or cfg.mrf_config != MrfConfig()):
+        # the full-field map reads no mask and no masked configuration: refuse, not ignore
+        raise ValueError("--mode som takes no --mask, and --bmu-scope and "
+                         "--distance-normalization only at their defaults")
     mask = None
     if cfg.mode == "mrf":
         mask = default_quadrant_mask() if mask_path is None else load_mask(mask_path)
@@ -521,19 +510,9 @@ def cmd_export(cfg: RunConfig, model_path: str, out: str) -> int:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    flat: dict[str, str] = {}
-    if args.config:
-        flat.update(parse_config_file(args.config))
-    for item in args.set or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        flat[key.strip()] = value.strip()
-    for field in FIELDS:
-        value = getattr(args, field.flag, None)
-        if args.command in field.commands and value is not None:
-            flat[field.key] = value
-    return build_run_config(flat)
+    """The RunConfig of the command's flags; a key without one keeps its default."""
+    flags = {field.key: getattr(args, field.flag, None) for field in FIELDS}
+    return build_run_config({key: value for key, value in flags.items() if value is not None})
 
 
 # subcommand -> (handler, help, path options passed to the handler after cfg).
@@ -570,14 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (func, help_text, paths) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value config file (flags override file values)")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="K=V",
-            help="override any config key, e.g. --set chain.limit.wrist=-1.0,1.0 (repeatable)",
-        )
+        # no abbreviated flags: each key has one spelling
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for option in paths:
             p.add_argument(
                 "--" + option.replace("_", "-"), type=_path, required=option != "mask",

@@ -23,7 +23,6 @@ from rfsom.cli import (
     build_run_config,
     load_model,
     main,
-    parse_config_file,
     run_config_items,
     save_model,
 )
@@ -70,21 +69,6 @@ def workspace(tmp_path_factory):
 
 # ------------------------------------------------------------- config layer
 
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment\n\nseed = 9\nmode=som\n")
-    assert parse_config_file(path) == {"seed": "9", "mode": "som"}
-    path.write_text("seed\n")
-    with pytest.raises(ParseError, match="key=value"):
-        parse_config_file(path)
-    path.write_text("seed=1\nseed=2\n")
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_config_file(path)
-    path.write_text("=3\n")
-    with pytest.raises(ParseError, match="empty key"):
-        parse_config_file(path)
-
-
 def test_build_run_config_defaults_and_round_trip():
     cfg = build_run_config({})
     assert cfg == RunConfig()
@@ -111,20 +95,6 @@ def test_build_run_config_defaults_and_round_trip():
     )
 
 
-@pytest.mark.parametrize("key", ["out", "dataset", "mask"])
-def test_path_config_keys_unknown_exit4(workspace, tmp_path, capsys, no_work, key):
-    """Paths are command options only: as a config key, in a file or through
-    --set, each is refused before any work or write."""
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{key}=x\n")
-    out = tmp_path / "out"
-    base = ["train", "--dataset", str(workspace / "gen" / "dataset.csv"), "--out", str(out)]
-    for extra in (["--set", f"{key}=x"], ["--config", str(cfg_file)]):
-        assert run_cli(*base, *extra) == 4
-        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
-    assert not out.exists()
-
-
 def test_build_run_config_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown config key"):
         build_run_config({"latice.rows": "4"})
@@ -140,50 +110,27 @@ def test_build_run_config_rejects_bad_input():
         build_run_config({"chain.touch_radius": "-1"})
 
 
-def test_config_file_plus_flag_precedence(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n=7\nseed=1\nchain.touch_radius=0.5\n")
-    out = tmp_path / "out"
-    code = run_cli(
-        "generate", "--config", str(cfg_file), "--n", "9", "--out", str(out)
-    )
-    assert code == 0
-    assert load_csv(out / "dataset.csv").shape == (9, 7)  # flag beat the file
-    manifest = json.loads((out / "generate_manifest.json").read_text())
-    assert manifest["seed"] == 1  # file value survived where no flag given
-
-
-def test_set_overrides(tmp_path):
-    out = tmp_path / "out"
-    code = run_cli(
-        "generate",
-        "--set",
-        "n=5",
-        "--set",
-        "chain.touch_radius=0.5",
-        "--out",
-        str(out),
-    )
-    assert code == 0
-    assert load_csv(out / "dataset.csv").shape == (5, 7)
-    assert run_cli("generate", "--set", "bogus", "--out", str(out)) == 4
-    assert run_cli("generate", "--set", "no_such_key=1", "--out", str(out)) == 4
-
-
 # ------------------------------------------------------------- flag surface
 
 # each subcommand's flags and the default its help shows (None: no default)
 FLAG_SURFACE = {
     "generate": {
-        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": None,
+        "--help": None, "--seed": "0", "--out": None,
         "--n": "3216", "--max-attempts": "auto", "--upper-arm": "0.105",
         "--forearm-hand": "0.114",
         "--shoulder-offset": "0,-0.098000000000000004,0.10000000000000001",
         "--face-target": "0.050000000000000003,0,0.050000000000000003",
-        "--touch-radius": "0.029999999999999999",
+        "--touch-radius": "0.029999999999999999", "--axes": "z,y,z,y,z,x,x",
+        "--head-yaw": "-2.0857000000000001,2.0857000000000001",
+        "--head-pitch": "-0.67200000000000004,0.51490000000000002",
+        "--shoulder-roll": "-1.3265,0.31419999999999998",
+        "--shoulder-pitch": "-2.0857000000000001,2.0857000000000001",
+        "--elbow-roll": "0.0349,1.5446",
+        "--elbow-yaw": "-2.0857000000000001,2.0857000000000001",
+        "--wrist": "-1.8238000000000001,1.8238000000000001",
     },
     "train": {
-        "--help": None, "--config": None, "--set": None, "--seed": "0", "--out": None,
+        "--help": None, "--seed": "0", "--out": None,
         "--dataset": None, "--mode": "mrf",
         "--mask": "the built-in 4x4 quadrant mask over 7 joints", "--rows": "4",
         "--cols": "4", "--metric": "manhattan", "--epochs": "100",
@@ -192,16 +139,12 @@ FLAG_SURFACE = {
         "--distance-normalization": "rms-per-active-dim",
     },
     "evaluate": {
-        "--help": None, "--config": None, "--set": None, "--model": None,
-        "--dataset-path": None, "--seed": "0", "--out": None,
+        "--help": None, "--model": None, "--dataset-path": None, "--seed": "0", "--out": None,
     },
-    "export": {
-        "--help": None, "--config": None, "--set": None, "--model": None, "--seed": "0",
-        "--out": None,
-    },
+    "export": {"--help": None, "--model": None, "--seed": "0", "--out": None},
 }
 
-# flagged config key -> a valid non-default value
+# config key -> a valid non-default value
 FLAG_VALUES = {
     "seed": "7", "n": "10", "max_attempts": "99", "chain.upper_arm": "0.2",
     "chain.forearm_hand": "0.3", "chain.shoulder_offset": "0,0,0.1",
@@ -210,7 +153,11 @@ FLAG_VALUES = {
     "lattice.metric": "hex-axial", "schedule.epochs": "7",
     "schedule.alpha0": "0.4", "schedule.alpha_end": "0.02", "schedule.sigma0": "1.5",
     "schedule.sigma_end": "0.25", "schedule.decay": "linear", "mrf.bmu_scope": "per-group",
-    "mrf.distance_normalization": "unnormalized",
+    "mrf.distance_normalization": "unnormalized", "chain.axes": "x,y,z,y,z,x,x",
+    "chain.limit.head_yaw": "-1,1", "chain.limit.head_pitch": "-0.5,0.5",
+    "chain.limit.shoulder_roll": "-1,0.25", "chain.limit.shoulder_pitch": "-2,2",
+    "chain.limit.elbow_roll": "0.1,1.5", "chain.limit.elbow_yaw": "-2,2",
+    "chain.limit.wrist": "-1,1",
 }
 
 REQUIRED = {
@@ -239,6 +186,8 @@ def test_flag_surface_pinned():
 
 
 def test_flag_equals_set_override():
+    """A key's flag sets that key, as the key=value pair would, and nothing
+    else; every config key has a flag."""
     parser = build_parser()
     flag_of = {"--" + key.rpartition(".")[2].replace("_", "-"): key for key in FLAG_VALUES}
     checked = set()
@@ -249,11 +198,49 @@ def test_flag_equals_set_override():
             if key is None:
                 continue
             value = FLAG_VALUES[key]
-            via_flag = _merge_config(parser.parse_args([*base, flag, value]))
-            via_set = _merge_config(parser.parse_args([*base, "--set", f"{key}={value}"]))
-            assert via_flag == via_set != build_run_config({}), (command, flag)
+            # --flag=value also holds a value that starts with '-'
+            via_flag = _merge_config(parser.parse_args([*base, f"{flag}={value}"]))
+            assert via_flag == build_run_config({key: value}) != build_run_config({}), flag
             checked.add(key)
-    assert checked == set(FLAG_VALUES)
+    assert checked == set(FLAG_VALUES) == {field.key for field in FIELDS}
+
+
+def test_every_field_names_a_command():
+    """No config key is unreachable: each is a flag of some subcommand."""
+    assert all(field.commands and set(field.commands) <= set(_ALL) for field in FIELDS)
+
+
+def _unread_flags():
+    for command in _ALL:
+        for field in FIELDS:
+            if command not in field.commands:
+                yield command, "--" + field.flag.replace("_", "-")
+
+
+def test_unread_key_flag_exit2_before_any_work(tmp_path, capsys, no_work):
+    """A flag of a key the command does not read, such as train --n 5, is a
+    usage error, refused before any work or write."""
+    out = str(tmp_path / "out")
+    cases = list(_unread_flags())
+    # 31 (command, key) pairs are flags: generate 16, train 13, evaluate 1, export 1
+    assert len(cases) == 4 * len(FIELDS) - 31
+    for command, flag in cases:
+        argv = [command, *REQUIRED[command][:-1], out, flag, "1"]
+        assert run_cli(*argv) == 2, argv
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, argv
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", _ALL)
+def test_set_config_and_abbreviations_exit2(tmp_path, capsys, no_work, command):
+    """A key has one spelling, its flag: --set, --config and an abbreviated
+    flag are usage errors on every command, refused before any work."""
+    out = str(tmp_path / "out")
+    base = [command, *REQUIRED[command][:-1], out]
+    for extra in (["--set", "seed=1"], ["--config", "run.cfg"], ["--se", "1"]):
+        assert run_cli(*base, *extra) == 2, extra
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_readme_config_table_matches_fields():
@@ -274,7 +261,7 @@ def test_readme_config_table_matches_fields():
             for key, default in zip(row, defaults):
                 field = fields[key]
                 assert field.parse(default) == field.parse(_DEFAULTS[key]), key
-                flag_on = {(): "—", _ALL: "all"}.get(field.commands) or " ".join(field.commands)
+                flag_on = "all" if field.commands == _ALL else " ".join(field.commands)
                 assert cells[3] == flag_on, key
             keys += row
     assert sorted(keys) == sorted(fields)
@@ -331,8 +318,8 @@ def test_generate_overflowing_limit_span_exit4_before_sampling(tmp_path, capsys,
     or not its span hi - lo overflows a float."""
     out = tmp_path / "never"
     for limit in ("1e+308", "1e+200"):
-        setting = f"chain.limit.wrist=-{limit},{limit}"
-        assert run_cli("generate", "--set", setting, "--n", "5", *EASY, "--out", str(out)) == 4
+        setting = f"--wrist=-{limit},{limit}"
+        assert run_cli("generate", setting, "--n", "5", *EASY, "--out", str(out)) == 4
         assert capsys.readouterr().err == (
             "error: invalid configuration: wrist limit value at index 0 exceeds the magnitude "
             f"limit 1e+100: -{limit}\n"
@@ -344,7 +331,7 @@ def test_generate_overflowing_limit_span_exit4_before_sampling(tmp_path, capsys,
 BAD_CHAINS = {
     # float64 kinematics of this chain overflow, so it is refused before sampling
     "overflowing-geometry": (
-        ["--set", "chain.upper_arm=1e300", "--set", "chain.face_target=1e300,0,0",
+        ["--upper-arm", "1e300", "--face-target", "1e300,0,0",
          "--n", "1", "--max-attempts", "100000"],
         "upper_arm value at index 0 exceeds the magnitude limit 1e+100: 1e+300",
     ),
@@ -355,10 +342,10 @@ BAD_CHAINS = {
         ["--face-target", "0,nan,0"], "face_target value at index 1 is not finite: nan"
     ),
     "short-target": (
-        ["--set", "chain.face_target=1,2"],
+        ["--face-target", "1,2"],
         "chain.face_target='1,2': expected 3 comma-separated values, got 2",
     ),
-    "two-axes": (["--set", "chain.axes=x,y"], "need 7 joint axes"),
+    "two-axes": (["--axes", "x,y"], "need 7 joint axes"),
 }
 
 
@@ -487,6 +474,33 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
         "error: shoulder_pitch has std 0.0, below 1e-100; cannot normalize\n"
     )
     assert not out.exists()
+
+
+# train option -> its value; a som map reads none of them
+SOM_UNUSED = {
+    "mask": ("--mask", "missing.mask"),
+    "bmu-scope": ("--bmu-scope", "per-group"),
+    "distance-normalization": ("--distance-normalization", "unnormalized"),
+}
+
+
+@pytest.mark.parametrize("option", SOM_UNUSED.values(), ids=SOM_UNUSED.keys())
+def test_train_som_refuses_masked_inputs_exit4_before_reading(tmp_path, capsys, no_work, option):
+    """The full-field map uses no mask and no masked configuration, so a som
+    train given one exits 4 before it reads the (here missing) dataset or
+    mask, and writes nothing; at their defaults the two settings pass."""
+    out = tmp_path / "out"
+    extra = ("--mode", "som", *option)
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=extra)) == 4
+    assert capsys.readouterr().err == (
+        "error: --mode som takes no --mask, and --bmu-scope and --distance-normalization "
+        "only at their defaults\n"
+    )
+    assert not out.exists()
+    defaults = ("--mode", "som", "--bmu-scope", "global-masked",
+                "--distance-normalization", "rms-per-active-dim")
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=defaults)) == 4
+    assert "missing.csv" in capsys.readouterr().err
 
 
 def test_single_neuron_som_pipeline(workspace, tmp_path):
@@ -698,15 +712,16 @@ def test_model_std_below_floor_refused_where_read(workspace, tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("decay, settings, message", [
-    ("exponential", ("sigma0=1e300", "sigma_end=1e-100"),
+    ("exponential", ("--sigma0", "1e300", "--sigma-end", "1e-100"),
      "sigma0 value at index 0 exceeds the magnitude limit 1e+100: 1e+300"),
-    ("linear", ("sigma0=1e20", "sigma_end=1e-100"),
+    ("linear", ("--sigma0", "1e20", "--sigma-end", "1e-100"),
      "sigma0=1e+20 and sigma_end=1e-100 end the linear sigma curve at 0.0, "
      "not a positive value"),
-    ("linear", ("alpha0=1", "alpha_end=1e-320"),
+    ("linear", ("--alpha0", "1", "--alpha-end", "1e-320"),
      "alpha0=1.0 and alpha_end=1e-320 end the linear alpha curve at 0.0, "
      "not a positive value"),
-    ("exponential", ("sigma0=-1",), "sigma0 must be positive, got -1.0"),
+    # a plain negative number needs no --flag=value spelling
+    ("exponential", ("--sigma0", "-1"), "sigma0 must be positive, got -1.0"),
 ])
 def test_train_schedule_ending_at_zero_exit4_before_any_epoch(
     workspace, tmp_path, capsys, no_work, decay, settings, message
@@ -718,8 +733,7 @@ def test_train_schedule_ending_at_zero_exit4_before_any_epoch(
     start."""
     out = tmp_path / "out"
     dataset = str(workspace / "gen" / "dataset.csv")
-    flags = [arg for setting in settings for arg in ("--set", f"schedule.{setting}")]
-    argv = ["train", "--dataset", dataset, "--set", f"schedule.decay={decay}", *flags]
+    argv = ["train", "--dataset", dataset, "--decay", decay, *settings]
     assert run_cli(*argv, "--out", str(out)) == 4
     assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
     assert not out.exists()
@@ -730,7 +744,7 @@ def test_train_sigma_end_below_floor_exit4_before_any_epoch(workspace, tmp_path,
     refuses such a sigma_end with the configuration, before any epoch."""
     out = tmp_path / "out"
     dataset = str(workspace / "gen" / "dataset.csv")
-    argv = ["train", "--dataset", dataset, "--set", "schedule.sigma_end=1e-200"]
+    argv = ["train", "--dataset", dataset, "--sigma-end", "1e-200"]
     assert run_cli(*argv, "--out", str(out)) == 4
     assert capsys.readouterr().err == (
         "error: invalid configuration: sigma_end must be in [1e-100, sigma0], got 1e-200\n"
@@ -740,7 +754,6 @@ def test_train_sigma_end_below_floor_exit4_before_any_epoch(workspace, tmp_path,
 
 # the input a command reads -> its arguments, given a workspace and a missing path
 MISSING_INPUTS = {
-    "config": lambda ws, p: ["generate", "--config", p],
     "dataset": lambda ws, p: ["train", "--dataset", p],
     "mask": lambda ws, p: ["train", "--dataset", str(ws / "gen" / "dataset.csv"), "--mask", p],
     "evaluate-model": lambda ws, p: [

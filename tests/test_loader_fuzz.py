@@ -3,7 +3,7 @@
 A corrupted model, mask or dataset file may only raise ``ParseError`` or
 ``ValueError`` naming the file from its loader, and a CLI command reading it
 exits 0 or 4; on exit 4 it creates no output directory. Pinned cases: a
-non-UTF-8 byte in any of the four input formats is located by line and
+non-UTF-8 byte in any of the three input formats is located by line and
 column, and CRLF or CR line ends load like LF.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsom.cli import load_model, main, parse_config_file, save_model
+from rfsom.cli import load_model, main, save_model
 from rfsom.datagen import load_csv, save_csv
 from rfsom.fileio import ParseError
 from rfsom.mrf import default_quadrant_mask, load_mask, save_mask
@@ -52,9 +52,6 @@ def mutate(data: bytes, ops) -> bytes:
     return bytes(buf)
 
 
-CONFIG = b"# a train config\nseed = 3\nschedule.epochs = 1\n\nmode = som\n"
-
-
 def quiet_cli(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(list(argv))
@@ -75,9 +72,7 @@ def originals(tmp_path_factory):
         "mask": str(root / "quadrant.mask"),
         "dataset": dataset,
     }
-    originals = {name: Path(path).read_bytes() for name, path in files.items()}
-    originals["config"] = CONFIG
-    return originals, dataset
+    return {name: Path(path).read_bytes() for name, path in files.items()}, dataset
 
 
 def commands(kind: str, path: str, dataset: str):
@@ -89,8 +84,6 @@ def commands(kind: str, path: str, dataset: str):
         ]
     if kind == "mask":
         return [("train", "--dataset", dataset, "--mask", path, "--epochs", "1")]
-    if kind == "config":
-        return [("train", "--config", path, "--dataset", dataset)]
     return [("train", "--dataset", path, "--epochs", "1")]
 
 
@@ -118,12 +111,11 @@ def test_mutated_file_gives_parse_error_or_exit4(originals, kind, ops):
                 assert not os.path.exists(out), argv
 
 
-READERS = {**LOADERS, "config": parse_config_file}
 NEWLINES = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
 
 
 @pytest.mark.parametrize("newline", NEWLINES)
-@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("kind", LOADERS)
 def test_non_utf8_byte_located_and_exit4(originals, kind, newline, tmp_path):
     files, dataset = originals
     lines = files[kind].split(b"\n")
@@ -131,7 +123,7 @@ def test_non_utf8_byte_located_and_exit4(originals, kind, newline, tmp_path):
     path = tmp_path / "input"
     path.write_bytes(NEWLINES[newline].join(lines))
     with pytest.raises(ParseError, match=re.escape(f"{path}: line 3, column 2: ")):
-        READERS[kind](path)
+        LOADERS[kind](path)
     for argv in commands(kind, str(path), dataset):
         out = tmp_path / argv[0]
         assert quiet_cli(*argv, "--out", str(out)) == 4, argv
@@ -142,15 +134,11 @@ SAVERS = {"model": save_model, "mask": save_mask, "dataset": save_csv}
 
 
 @pytest.mark.parametrize("newline", ["crlf", "cr"])
-@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("kind", LOADERS)
 def test_crlf_and_cr_line_ends_load_like_lf(originals, kind, newline, tmp_path):
     files, _ = originals
-    lf, other = tmp_path / "lf", tmp_path / newline
-    lf.write_bytes(files[kind])
+    other = tmp_path / newline
     other.write_bytes(files[kind].replace(b"\n", NEWLINES[newline]))
-    if kind == "config":
-        assert parse_config_file(other) == parse_config_file(lf)
-        return
     # each format's writer renders what the loader read back to the LF bytes
-    SAVERS[kind](READERS[kind](other), tmp_path / "resaved")
+    SAVERS[kind](LOADERS[kind](other), tmp_path / "resaved")
     assert (tmp_path / "resaved").read_bytes() == files[kind]
