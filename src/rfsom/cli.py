@@ -13,13 +13,10 @@ Exit codes: 0 success, 2 usage, 3 sampling failure, 4 data/config error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass
-
-import numpy as np
 
 from .analysis import (
     CLUSTER_SEPARATION_REFERENCE,
@@ -44,7 +41,8 @@ from .datagen import (
     synthesize_self_touch,
 )
 from .fileio import (
-    ParseError, atomic_write_bytes, atomic_write_text, dump_json, format_float, read_lines,
+    ParseError, _array, _check_keys, _expect, atomic_write_bytes, atomic_write_text, dump_json,
+    format_float, read_document,
 )
 from .lattice import LatticeSpec
 from .mrf import (
@@ -52,6 +50,8 @@ from .mrf import (
     MrfConfig,
     ReceptiveFieldMask,
     _check_mask,
+    _mask_object,
+    _read_mask_object,
     default_quadrant_mask,
     load_mask,
     masked_quantization_error,
@@ -295,7 +295,6 @@ _MODEL_KEYS = ("format", "version", "normalization", "mask", "codebook", "run_co
 
 
 def save_model(model: Model, path) -> None:
-    mask = model.mask
     doc = {
         "format": "rfsom-model",
         "version": 4,
@@ -303,10 +302,7 @@ def save_model(model: Model, path) -> None:
             "mean": model.normalization.mean.tolist(),
             "std": model.normalization.std.tolist(),
         },
-        "mask": None if mask is None else {
-            "mask": mask.mask.astype(int).tolist(),
-            "groups": mask.groups,
-        },
+        "mask": None if model.mask is None else _mask_object(model.mask),
         "codebook": model.codebook.weights.tolist(),
         # the resolved config, not the ``run_config`` dict a caller can mutate
         "run_config": run_config_items(model.config),
@@ -314,63 +310,11 @@ def save_model(model: Model, path) -> None:
     atomic_write_text(path, dump_json(doc))
 
 
-def _expect(doc: dict, key: str, kinds, path) -> object:
-    if key not in doc:
-        raise ParseError(f"{path}: missing key {key!r}")
-    value = doc[key]
-    # bool is an int subclass; no model field is boolean
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ParseError(f"{path}: key {key!r} has unexpected type {type(value).__name__}")
-    return value
-
-
-def _check_keys(doc: dict, known, where) -> None:
-    unknown = sorted(doc.keys() - set(known))
-    if unknown:
-        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
-
-
-# entries of the model's JSON arrays -> (exact JSON types, so a bool is never
-# a number; the dtype they load as)
-_ENTRIES = {
-    "numbers": ((int, float), np.float64),
-    "integers": ((int,), np.int64),
-    "strings": ((str,), object),
-}
-
-
-def _array(doc: dict, key: str, entries: str, ndim: int, where) -> np.ndarray:
-    """A rectangular ``ndim``-deep JSON array whose every entry is one of ``entries``."""
-    value = np.array(_expect(doc, key, list, where), dtype=object)
-    types, dtype = _ENTRIES[entries]
-    if value.ndim != ndim or any(type(v) not in types for v in value.flat):
-        raise ParseError(f"{where}: key {key!r} must be a {ndim}-D array of {entries}")
-    return value.astype(dtype)
-
-
-def _read_mask(raw: dict, lattice: LatticeSpec, where: str) -> ReceptiveFieldMask:
-    _check_keys(raw, ("mask", "groups"), where)
-    groups = _expect(raw, "groups", (list, type(None)), where)
-    if groups is not None:
-        groups = tuple(_array(raw, "groups", "strings", 1, where))
-    mask = _array(raw, "mask", "integers", 2, where)
-    return ReceptiveFieldMask(lattice.rows, lattice.cols, mask, groups)
-
-
 def load_model(path) -> Model:
     """Strict reader for the model JSON, whose every configuration value
     comes from its run_config resolved through the config table; malformed
     or inconsistent content raises ParseError."""
-    try:
-        doc = json.loads("\n".join(read_lines(path)))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: model document must be a JSON object")
-    if doc.get("format") != "rfsom-model":
-        raise ParseError(f"{path}: not a model file (format={doc.get('format')!r})")
-    if doc.get("version") != 4:
-        raise ParseError(f"{path}: unsupported model version {doc.get('version')!r}")
+    doc = read_document(path, "rfsom-model", 4)
     _check_keys(doc, _MODEL_KEYS, path)
     run_config = _expect(doc, "run_config", dict, path)
     for key in run_config:
@@ -388,7 +332,9 @@ def load_model(path) -> Model:
         normalization = NormalizationParams(
             *(_array(norm, k, "numbers", 1, f"{path}: normalization") for k in ("mean", "std"))
         )
-        mask = None if raw_mask is None else _read_mask(raw_mask, cfg.lattice, f"{path}: mask")
+        mask = None if raw_mask is None else _read_mask_object(
+            raw_mask, cfg.lattice.rows, cfg.lattice.cols, f"{path}: mask"
+        )
     except ParseError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -563,18 +509,24 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="V",
                     help=f"{field.help} (default: {_DEFAULTS[field.key]})",
                 )
-        p.set_defaults(func=func, paths=paths)
+        p.set_defaults(func=func, paths=paths, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the subcommand's parser reports them, with its own usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        if os.path.lexists(args.out) and not os.path.isdir(args.out):
+            # refused before any work, not when the first artifact is written
+            raise NotADirectoryError(f"--out {args.out!r} exists and is not a directory")
         cfg = _merge_config(args)
         return args.func(cfg, *(getattr(args, option) for option in args.paths))
     except (SamplingError, ValueError, OSError) as exc:

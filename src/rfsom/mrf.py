@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import ParseError, atomic_write_text, read_lines
+from .fileio import (
+    ParseError, _array, _check_keys, _expect, atomic_write_text, dump_json, read_document,
+)
 from .lattice import distance_matrix, neighborhood_weight
 from .som import (
     Codebook,
@@ -380,68 +382,42 @@ def masked_topographic_error(
     return _score(X, codebook.weights, mask, cfg, distance_matrix(codebook.lattice))[1]
 
 
+def _mask_object(mask: ReceptiveFieldMask) -> dict:
+    """The ``{mask, groups}`` object that model.json and a mask file share:
+    the 0/1 rows and the labels, or None."""
+    return {"mask": mask.mask.astype(int).tolist(), "groups": mask.groups}
+
+
+def _read_mask_object(doc: dict, rows: int, cols: int, where, header=()) -> ReceptiveFieldMask:
+    """The rows x cols mask of a ``{mask, groups}`` object whose other keys
+    are ``header``; a malformed key raises ParseError naming ``where``."""
+    _check_keys(doc, (*header, "mask", "groups"), where)
+    groups = _expect(doc, "groups", (list, type(None)), where)
+    if groups is not None:
+        groups = tuple(_array(doc, "groups", "strings", 1, where))
+    return ReceptiveFieldMask(rows, cols, _array(doc, "mask", "integers", 2, where), groups)
+
+
 def save_mask(mask: ReceptiveFieldMask, path) -> None:
-    """Write the plain-text mask format (see ``load_mask``)."""
-    lines = [f"{mask.rows} {mask.cols} {mask.dims}"]
-    for row in mask.mask:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    if mask.groups is not None:
-        for label in mask.groups:
-            lines.append(f"#group {label}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a mask file: a JSON object of ``format`` "rfsom-mask",
+    ``version`` 1, the grid's ``rows`` and ``cols``, and model.json's
+    ``{mask, groups}`` object, one 0/1 row per line. ``load_mask`` reads it
+    back to a mask that saves to the same bytes, so a model.json's mask
+    object with the four header keys is a mask file."""
+    doc = {"format": "rfsom-mask", "version": 1, "rows": mask.rows, "cols": mask.cols}
+    atomic_write_text(path, dump_json(doc | _mask_object(mask)))
 
 
 def load_mask(path) -> ReceptiveFieldMask:
-    """Read a mask file.
-
-    Format: first line ``rows cols dims``; then rows*cols lines of
-    space-separated 0/1; then optionally one ``#group <label>`` line per
-    neuron. Round-trips bit-exactly through ``save_mask``.
-    """
-    raw = read_lines(path)
-    if not raw:
-        raise ParseError(f"{path}: line 1: empty mask file")
-    header = raw[0].split()
-    if len(header) != 3:
-        raise ParseError(f"{path}: line 1: expected 'rows cols dims', got {raw[0]!r}")
+    """Strict reader for a mask file (see ``save_mask``): malformed JSON, a
+    missing or unknown key, or a value of the wrong type raises ParseError,
+    and a mask that breaks a ``ReceptiveFieldMask`` invariant ValueError,
+    each naming the path."""
+    doc = read_document(path, "rfsom-mask", 1)
+    rows, cols = (_expect(doc, key, int, path) for key in ("rows", "cols"))
     try:
-        rows, cols, dims = (int(tok) for tok in header)
-    except ValueError:
-        raise ParseError(f"{path}: line 1: non-integer header field in {raw[0]!r}") from None
-    if rows < 1 or cols < 1 or dims < 1:
-        raise ParseError(f"{path}: line 1: rows, cols, dims must be positive")
-    n = rows * cols
-    if len(raw) - 1 < n:
-        raise ParseError(f"{path}: expected {n} mask rows, file ends after line {len(raw)}")
-    # every row is checked before the mask is built, so a header claiming a
-    # huge dims fails on its first short row instead of allocating
-    cells = [line.split(" ") for line in raw[1 : 1 + n]]
-    for lineno, tokens in enumerate(cells, start=2):
-        if len(tokens) != dims:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {dims} entries, got {len(tokens)}"
-            )
-        for j, tok in enumerate(tokens):
-            if tok not in ("0", "1"):
-                raise ParseError(
-                    f"{path}: line {lineno}: entry {j + 1} must be 0 or 1, got {tok!r}"
-                )
-    mask = np.array(cells) == "1"
-    groups: tuple[str, ...] | None = None
-    rest = raw[1 + n :]
-    if rest:
-        if len(rest) != n:
-            raise ParseError(
-                f"{path}: line {2 + n}: expected {n} '#group' lines, got {len(rest)}"
-            )
-        labels = []
-        for k, line in enumerate(rest):
-            lineno = 2 + n + k
-            if not line.startswith("#group "):
-                raise ParseError(f"{path}: line {lineno}: expected '#group <label>'")
-            labels.append(line[len("#group ") :])
-        groups = tuple(labels)
-    try:
-        return ReceptiveFieldMask(rows, cols, mask, groups)
-    except ValueError as exc:
+        return _read_mask_object(doc, rows, cols, path, ("format", "version", "rows", "cols"))
+    except ParseError:
+        raise
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -29,7 +29,9 @@ from rfsom.cli import (
 from rfsom.datagen import NormalizationParams, joint_names, load_csv, save_csv
 from rfsom.fileio import ParseError
 from rfsom.lattice import LatticeSpec
-from rfsom.mrf import MrfConfig, ReceptiveFieldMask, default_quadrant_mask, save_mask
+from rfsom.mrf import (
+    MrfConfig, ReceptiveFieldMask, default_quadrant_mask, load_mask, save_mask,
+)
 from rfsom.som import TrainSchedule, init_codebook
 
 EASY = ["--touch-radius", "0.5"]  # keeps rejection sampling fast in tests
@@ -227,7 +229,10 @@ def test_unread_key_flag_exit2_before_any_work(tmp_path, capsys, no_work):
     for command, flag in cases:
         argv = [command, *REQUIRED[command][:-1], out, flag, "1"]
         assert run_cli(*argv) == 2, argv
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 1" in err, argv
+        # the subcommand's usage line, which lists the flags it does take
+        assert err.startswith(f"usage: rfsom {command} [-h]"), argv
     assert not os.path.exists(out)
 
 
@@ -408,10 +413,14 @@ def test_train_epochs_zero_keeps_initial_codebook(workspace, tmp_path):
     ]
 
 
+# a mask file's keys before the {mask, groups} object it shares with model.json
+MASK_HEADER = {"format": "rfsom-mask", "version": 1, "rows": 4, "cols": 4}
+
+
 def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
     dataset = workspace / "gen" / "dataset.csv"
     mask_path = tmp_path / "alltrue.mask"
-    mask_path.write_text("4 4 7\n" + "\n".join(["1 1 1 1 1 1 1"] * 16) + "\n")
+    mask_path.write_text(json.dumps(MASK_HEADER | {"mask": [[1] * 7] * 16, "groups": None}))
     som_out, mrf_out = tmp_path / "som", tmp_path / "mrf"
     assert run_cli(*train_args(som_out, dataset, extra=("--mode", "som"))) == 0
     code = run_cli(
@@ -434,6 +443,32 @@ def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
     assert a.tobytes() == b.tobytes()
 
 
+def test_model_mask_object_is_a_mask_file(workspace, tmp_path):
+    """A model.json's mask object with the four header keys loads as the
+    model's mask."""
+    model = workspace / "run" / "model.json"
+    path = tmp_path / "model.mask"
+    path.write_text(json.dumps(MASK_HEADER | json.loads(model.read_text())["mask"]))
+    mask, want = load_mask(path), load_model(model).mask
+    assert (mask.rows, mask.cols, mask.groups) == (want.rows, want.cols, want.groups)
+    assert mask.mask.tobytes() == want.mask.tobytes()
+
+
+def test_train_with_saved_built_in_mask_writes_same_model(workspace, tmp_path):
+    """The built-in mask saved to a file is model.json's mask object under
+    the header, and training with it writes the bytes of a run without
+    --mask."""
+    mask_path = tmp_path / "quadrant.mask"
+    save_mask(default_quadrant_mask(), mask_path)
+    dataset = workspace / "gen" / "dataset.csv"
+    assert run_cli(*train_args(tmp_path / "a", dataset, epochs=2)) == 0
+    assert run_cli(*train_args(tmp_path / "b", dataset, epochs=2,
+                               extra=("--mask", str(mask_path)))) == 0
+    model = (tmp_path / "a" / "model.json").read_bytes()
+    assert json.loads(mask_path.read_text()) == MASK_HEADER | json.loads(model)["mask"]
+    assert (tmp_path / "b" / "model.json").read_bytes() == model
+
+
 def test_train_config_errors_exit4_without_output(tmp_path, capsys):
     out = tmp_path / "nope"
     assert run_cli(*train_args(out, tmp_path / "missing.csv")) == 4
@@ -454,16 +489,17 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
         == 4
     )
     assert not out.exists()
-    # a header claiming 1e11 dims is rejected on its short row, not allocated
-    bad_mask.write_text("1 1 100000000000\n1\n")
+    # a text mask of the earlier format is not JSON, and is located as such
+    bad_mask.write_text("4 4 7\n" + "\n".join(["1 1 1 1 1 1 1"] * 16) + "\n")
     two_rows = tmp_path / "two_rows.csv"
     save_csv(np.arange(14.0).reshape(2, 7), two_rows)
     capsys.readouterr()
+    located = f"{bad_mask}: invalid JSON: Extra data: line 1 column 3"
     assert run_cli(*train_args(out, two_rows, extra=("--mask", str(bad_mask)))) == 4
-    assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
+    assert located in capsys.readouterr().err
     # the mask is read before the dataset, so a one-row dataset does not hide it
     assert run_cli(*train_args(out, one_row, extra=("--mask", str(bad_mask)))) == 4
-    assert "line 2: expected 100000000000 entries, got 1" in capsys.readouterr().err
+    assert located in capsys.readouterr().err
     assert not out.exists()
     # a joint varying only between 1e-200 and 2e-200 has a std that underflows to 0
     data = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 7))
@@ -824,6 +860,20 @@ def test_export_corrupt_model_exit4(tmp_path, capsys):
     assert run_cli("export", "--model", str(bad), "--out", str(tmp_path / "o")) == 4
     assert capsys.readouterr().err == f"error: {bad}: model document must be a JSON object\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", _ALL)
+def test_out_naming_a_non_directory_exit5_before_any_work(tmp_path, capsys, no_work, command):
+    """An --out that names an existing file, or a symlink to nothing, is
+    refused with a message naming --out before any input is read."""
+    blocker, dangling = tmp_path / "file", tmp_path / "link"
+    blocker.write_text("x")
+    dangling.symlink_to(tmp_path / "nowhere")
+    for out in (str(blocker), str(dangling)):
+        # the inputs in REQUIRED do not exist: they are never opened
+        assert run_cli(command, *REQUIRED[command][:-1], out) == 5
+        assert capsys.readouterr().err == f"error: --out {out!r} exists and is not a directory\n"
+    assert blocker.read_text() == "x" and not (tmp_path / "nowhere").exists()
 
 
 def test_export_unwritable_output_exit5(workspace, tmp_path):

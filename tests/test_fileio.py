@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -204,3 +205,18 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
         atomic_write_bytes(tmp_path / "target.txt", b"payload")
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    """An artifact gets the mode open() gives a new file, 0o666 less the umask."""
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "out.bin", b"x")
+        atomic_write_text(tmp_path / "out.txt", "x")
+    finally:
+        os.umask(old)
+    for name in ("out.bin", "out.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name

@@ -1,6 +1,7 @@
 """Receptive-field masks: construction, masked search, confined training,
 file round-trips."""
 
+import json
 import re
 import tracemalloc
 
@@ -631,10 +632,17 @@ def test_mask_round_trip_random(seed, with_groups):
         os.unlink(path)
 
 
+# a 1x2 mask document over 3 dims with group labels
+MASK_DOC = {
+    "format": "rfsom-mask", "version": 1, "rows": 1, "cols": 2,
+    "mask": [[1, 0, 1], [0, 1, 1]], "groups": ["a", "b"],
+}
+
+
 def test_load_mask_accepts_spec_shape(tmp_path):
-    lines = ["4 4 7"] + ["1 0 0 0 0 0 1" if i % 2 else "0 1 1 1 1 1 0" for i in range(16)]
+    rows = [[1, 0, 0, 0, 0, 0, 1] if i % 2 else [0, 1, 1, 1, 1, 1, 0] for i in range(16)]
     path = tmp_path / "ok.mask"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(json.dumps(MASK_DOC | {"rows": 4, "cols": 4, "mask": rows, "groups": None}))
     mask = load_mask(path)
     assert mask.mask.shape == (16, 7)
     assert mask.groups is None
@@ -642,30 +650,36 @@ def test_load_mask_accepts_spec_shape(tmp_path):
 
 def test_load_mask_parse_errors_name_lines(tmp_path):
     path = tmp_path / "bad.mask"
-    path.write_text("4 4\n")
-    with pytest.raises(ParseError, match="line 1"):
-        load_mask(path)
-    path.write_text("1 2 3\n1 0 1\n0 2 1\n")
-    with pytest.raises(ParseError, match="line 3"):
-        load_mask(path)
-    path.write_text("1 2 3\n1 0 1\n")
-    with pytest.raises(ParseError, match="expected 2 mask rows"):
-        load_mask(path)
-    path.write_text("1 0 3\n")
-    with pytest.raises(ParseError, match="line 1: rows, cols, dims must be positive"):
-        load_mask(path)
-    path.write_text("1 2 2\n1 0\n0 1\n#group a\n")
-    with pytest.raises(ParseError, match="#group"):
-        load_mask(path)
-    # a huge dims fails on the short row, before any mask is allocated
-    path.write_text("1 1 100000000000\n1\n")
-    with pytest.raises(ParseError, match="line 2: expected 100000000000 entries, got 1"):
-        load_mask(path)
+    path.write_text(json.dumps(MASK_DOC))
+    assert load_mask(path).groups == ("a", "b")
+
+    def refused(doc, message, error=ParseError):
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            load_mask(path)
+
+    # a text mask of the earlier format is located by the JSON decoder
+    refused("1 2 3\n1 0 1\n0 1 1\n", "invalid JSON: Extra data: line 1 column 3")
+    refused("[]", "mask document must be a JSON object")
+    refused("[" * 10**5 + "]" * 10**5, "invalid JSON: maximum recursion depth exceeded")
+    refused(MASK_DOC | {"format": "rfsom-model"}, "not a mask file (format='rfsom-model')")
+    refused(MASK_DOC | {"version": 2}, "unsupported mask version 2")
+    refused(MASK_DOC | {"version": True}, "unsupported mask version True")
+    refused({k: v for k, v in MASK_DOC.items() if k != "rows"}, "missing key 'rows'")
+    refused(MASK_DOC | {"cols": "2"}, "key 'cols' has unexpected type str")
+    refused(MASK_DOC | {"dims": 3}, "unknown key 'dims'")
+    refused(MASK_DOC | {"mask": [[1, 0, 1], [0, 1]]}, "key 'mask' must be a 2-D array of integers")
+    refused(MASK_DOC | {"mask": [[1, 0, 1], [0, True, 1]]}, "key 'mask' must be a 2-D array")
+    refused(MASK_DOC | {"mask": [[1, 0, 1], [0, 2, 1]]}, "mask entries must be boolean (0/1)",
+            ValueError)
+    refused(MASK_DOC | {"groups": ["a"]}, "got 1 group labels for 2 neurons", ValueError)
+    refused(MASK_DOC | {"rows": 0}, "mask grid must be at least 1x1, got 0x2", ValueError)
+    refused(MASK_DOC | {"mask": [[1, 0, 10**20], [0, 1, 1]]}, "", ValueError)
 
 
 def test_load_mask_invariant_violation_is_config_error(tmp_path):
     path = tmp_path / "empty_row.mask"
-    path.write_text("1 2 2\n0 0\n1 1\n")
+    path.write_text(json.dumps(MASK_DOC | {"mask": [[0, 0], [1, 1]], "groups": None}))
     with pytest.raises(ValueError, match="no active input dimension"):
         load_mask(path)
 
