@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass
+from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass, replace
 
 from .analysis import (
     CLUSTER_SEPARATION_REFERENCE,
@@ -244,11 +244,13 @@ class Model:
     ``run_config``, which ``config`` holds resolved. The mode, masked
     configuration, schedule, lattice and joint names are read back from it
     and the codebook shape, so construction rejects a model that disagrees.
+    Every map is a masked map: a som model's mask is the all-true, unlabelled
+    field, searched global-masked and unnormalized (``som._as_masked``).
     """
 
     mode: str
     codebook: Codebook
-    mask: ReceptiveFieldMask | None
+    mask: ReceptiveFieldMask
     mrf_config: MrfConfig
     normalization: NormalizationParams
     schedule: TrainSchedule
@@ -268,11 +270,11 @@ class Model:
         for name, (got, want) in derived.items():
             if got != want:
                 raise ValueError(f"model {name} {got!r} disagrees with run_config ({want!r})")
-        if (self.mode == "mrf") != (self.mask is not None):
-            wanted = "a mask" if self.mode == "mrf" else '"mask": null'
-            raise ValueError(f"mode {self.mode!r} needs {wanted}")
-        if self.mask is not None:
-            _check_mask(self.mask, self.codebook)
+        _check_mask(self.mask, self.codebook)
+        full = self.mask.groups is None and self.mask.mask.all()
+        if self.mode == "som" and not (full and self.mrf_config == _as_masked(self.codebook)[1]):
+            raise ValueError("mode 'som' needs the all-true, unlabelled mask, "
+                             "searched global-masked and unnormalized")
         if self.normalization.mean.shape[0] != self.codebook.dims:
             raise ValueError(
                 f"normalization has {self.normalization.mean.shape[0]} entries "
@@ -282,8 +284,12 @@ class Model:
 
 
 def _model(cfg: RunConfig, codebook: Codebook, mask, normalization) -> Model:
-    """The Model of ``codebook`` whose mode, masked configuration, schedule,
-    joint names and run_config come from ``cfg``."""
+    """The Model of ``codebook`` trained under ``cfg``, which gives its mode,
+    masked configuration, schedule, joint names and run_config; a som map is
+    ``som._as_masked``'s all-true mask and unnormalized search instead."""
+    if cfg.mode == "som":
+        mask, mrf_config = _as_masked(codebook)
+        cfg = replace(cfg, mrf_config=mrf_config)
     return Model(
         cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
         joint_names(codebook.dims), run_config_items(cfg),
@@ -297,12 +303,12 @@ _MODEL_KEYS = ("format", "version", "normalization", "mask", "codebook", "run_co
 def save_model(model: Model, path) -> None:
     doc = {
         "format": "rfsom-model",
-        "version": 4,
+        "version": 5,
         "normalization": {
             "mean": model.normalization.mean.tolist(),
             "std": model.normalization.std.tolist(),
         },
-        "mask": None if model.mask is None else _mask_object(model.mask),
+        "mask": _mask_object(model.mask),
         "codebook": model.codebook.weights.tolist(),
         # the resolved config, not the ``run_config`` dict a caller can mutate
         "run_config": run_config_items(model.config),
@@ -314,7 +320,7 @@ def load_model(path) -> Model:
     """Strict reader for the model JSON, whose every configuration value
     comes from its run_config resolved through the config table; malformed
     or inconsistent content raises ParseError."""
-    doc = read_document(path, "rfsom-model", 4)
+    doc = read_document(path, "rfsom-model", 5)
     _check_keys(doc, _MODEL_KEYS, path)
     run_config = _expect(doc, "run_config", dict, path)
     for key in run_config:
@@ -326,21 +332,21 @@ def load_model(path) -> Model:
         raise ParseError(f"{path}: run_config: {exc}") from None
     norm = _expect(doc, "normalization", dict, path)
     _check_keys(norm, ("mean", "std"), f"{path}: normalization")
-    raw_mask = _expect(doc, "mask", (dict, type(None)), path)
+    raw_mask = _expect(doc, "mask", dict, path)
     try:
         codebook = Codebook(_array(doc, "codebook", "numbers", 2, path), cfg.lattice)
         normalization = NormalizationParams(
             *(_array(norm, k, "numbers", 1, f"{path}: normalization") for k in ("mean", "std"))
         )
-        mask = None if raw_mask is None else _read_mask_object(
-            raw_mask, cfg.lattice.rows, cfg.lattice.cols, f"{path}: mask"
-        )
+        mask = _read_mask_object(raw_mask, cfg.lattice.rows, cfg.lattice.cols, f"{path}: mask")
     except ParseError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     try:
-        return _model(cfg, codebook, mask, normalization)
+        # the file states its mask and search, so a som model is checked, not resolved
+        return Model(cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
+                     joint_names(codebook.dims), run_config_items(cfg))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -402,21 +408,13 @@ def cmd_train(cfg: RunConfig, dataset: str, mask_path: str | None, out: str) -> 
     return 0
 
 
-def _masked_map(model: Model) -> tuple[ReceptiveFieldMask, MrfConfig]:
-    """The model as a masked map; a som model is the all-true field."""
-    if model.mask is None:
-        return _as_masked(model.codebook)
-    return model.mask, model.mrf_config
-
-
 def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str, out: str) -> int:
     """Score a model on a dataset; write metrics.json."""
     model = load_model(model_path)
     raw = load_csv(dataset_path)
     data = apply_normalization(raw, model.normalization)
-    mask, mrf_config = _masked_map(model)
-    qe = masked_quantization_error(model.codebook, data, mask, mrf_config)
-    te = masked_topographic_error(model.codebook, data, mask, mrf_config)
+    qe = masked_quantization_error(model.codebook, data, model.mask, model.mrf_config)
+    te = masked_topographic_error(model.codebook, data, model.mask, model.mrf_config)
     os.makedirs(out, exist_ok=True)
     metrics = {
         "format": "rfsom-metrics",
@@ -433,10 +431,9 @@ def cmd_evaluate(cfg: RunConfig, model_path: str, dataset_path: str, out: str) -
 def cmd_export(cfg: RunConfig, model_path: str, out: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     model = load_model(model_path)
-    mask, _ = _masked_map(model)
-    grids = build_heatmaps(model.codebook, mask)
-    dmap = build_distance_map(model.codebook, mask)
-    report = build_encoding_report(model.codebook, mask)
+    grids = build_heatmaps(model.codebook, model.mask)
+    dmap = build_distance_map(model.codebook, model.mask)
+    report = build_encoding_report(model.codebook, model.mask)
     # the ratio needs every body group; a map without them reports null
     grouped = set(BODY_GROUPS) <= set(report.group_order)
     ratio = cluster_separation_ratio(report) if grouped else None
@@ -524,9 +521,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        if os.path.lexists(args.out) and not os.path.isdir(args.out):
-            # refused before any work, not when the first artifact is written
-            raise NotADirectoryError(f"--out {args.out!r} exists and is not a directory")
+        # refused before any work, not when the first artifact is written:
+        # --out's nearest existing ancestor (or itself) must be a directory
+        existing = args.out
+        while existing and not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            below = "" if existing == args.out else f" is below {existing!r}, which"
+            raise NotADirectoryError(f"--out {args.out!r}{below} exists and is not a directory")
         cfg = _merge_config(args)
         return args.func(cfg, *(getattr(args, option) for option in args.paths))
     except (SamplingError, ValueError, OSError) as exc:

@@ -46,10 +46,20 @@ def read_lines(path) -> list[str]:
 def read_document(path, fmt: str, version: int) -> dict:
     """The JSON object of a document whose ``format`` is ``fmt``
     (``rfsom-<kind>``) and whose ``version`` is ``version``; invalid JSON,
-    another type, format or version raises ParseError naming the path."""
+    a key repeated in one object, another type, format or version raises
+    ParseError naming the path."""
     kind = fmt.removeprefix("rfsom-")
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads("\n".join(read_lines(path)))
+        doc = json.loads("\n".join(read_lines(path)), object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:
         # a RecursionError is nesting deeper than the decoder's stack
         raise ParseError(f"{path}: invalid JSON: {exc}") from None

@@ -384,7 +384,7 @@ def masked_topographic_error(
 
 def _mask_object(mask: ReceptiveFieldMask) -> dict:
     """The ``{mask, groups}`` object that model.json and a mask file share:
-    the 0/1 rows and the labels, or None."""
+    the 0/1 rows and the labels (None for an unlabelled mask)."""
     return {"mask": mask.mask.astype(int).tolist(), "groups": mask.groups}
 
 

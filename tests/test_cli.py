@@ -418,11 +418,14 @@ MASK_HEADER = {"format": "rfsom-mask", "version": 1, "rows": 4, "cols": 4}
 
 
 def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
+    """The som model's own mask object, passed back as a mask file, trains an
+    unnormalized mrf map to the same codebook and training log."""
     dataset = workspace / "gen" / "dataset.csv"
-    mask_path = tmp_path / "alltrue.mask"
-    mask_path.write_text(json.dumps(MASK_HEADER | {"mask": [[1] * 7] * 16, "groups": None}))
     som_out, mrf_out = tmp_path / "som", tmp_path / "mrf"
     assert run_cli(*train_args(som_out, dataset, extra=("--mode", "som"))) == 0
+    som_mask = json.loads((som_out / "model.json").read_text())["mask"]
+    mask_path = tmp_path / "alltrue.mask"
+    mask_path.write_text(json.dumps(MASK_HEADER | som_mask))
     code = run_cli(
         *train_args(
             mrf_out,
@@ -441,6 +444,7 @@ def test_train_som_equals_mrf_with_alltrue_mask(workspace, tmp_path):
     a = load_model(som_out / "model.json").codebook.weights
     b = load_model(mrf_out / "model.json").codebook.weights
     assert a.tobytes() == b.tobytes()
+    assert (som_out / "train_log.csv").read_bytes() == (mrf_out / "train_log.csv").read_bytes()
 
 
 def test_model_mask_object_is_a_mask_file(workspace, tmp_path):
@@ -876,6 +880,20 @@ def test_out_naming_a_non_directory_exit5_before_any_work(tmp_path, capsys, no_w
     assert blocker.read_text() == "x" and not (tmp_path / "nowhere").exists()
 
 
+@pytest.mark.parametrize("command", _ALL)
+def test_out_below_a_non_directory_exit5_before_any_work(tmp_path, capsys, no_work, command):
+    """An --out whose nearest existing ancestor is a file is refused, naming
+    --out and that file, before any input is read."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for out in (str(blocker / "sub"), str(blocker / "a" / "b")):
+        assert run_cli(command, *REQUIRED[command][:-1], out) == 5
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} is below {str(blocker)!r}, which exists and is not a directory\n"
+        )
+    assert blocker.read_text() == "x"
+
+
 def test_export_unwritable_output_exit5(workspace, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -892,22 +910,24 @@ def _unlabelled_mask(root):
     return ("--mask", str(root / "unlabelled.mask"))
 
 
-# model -> (train options, or None for the workspace model; the JSON null it must hold)
+# model -> (train options, or None for the workspace model; a check of its mask object)
 ROUND_TRIP_MODELS = {
     "mrf": (None, None),
-    "som": (lambda root: ("--mode", "som"), lambda doc: doc["mask"]),
-    "unlabelled-mask": (_unlabelled_mask, lambda doc: doc["mask"]["groups"]),
+    # the full field: every row all 1, no labels
+    "som": (lambda root: ("--mode", "som"),
+            lambda mask: mask == {"mask": [[1] * 7] * 16, "groups": None}),
+    "unlabelled-mask": (_unlabelled_mask, lambda mask: mask["groups"] is None),
 }
 
 
-@pytest.mark.parametrize("extra, null", ROUND_TRIP_MODELS.values(), ids=ROUND_TRIP_MODELS.keys())
-def test_model_round_trip_bytes(workspace, tmp_path, extra, null):
+@pytest.mark.parametrize("extra, check", ROUND_TRIP_MODELS.values(), ids=ROUND_TRIP_MODELS.keys())
+def test_model_round_trip_bytes(workspace, tmp_path, extra, check):
     path = workspace / "run" / "model.json"
     if extra is not None:
         dataset = workspace / "gen" / "dataset.csv"
         assert run_cli(*train_args(tmp_path / "run", dataset, epochs=2, extra=extra(tmp_path))) == 0
         path = tmp_path / "run" / "model.json"
-        assert null(json.loads(path.read_text())) is None
+        assert check(json.loads(path.read_text())["mask"])
     copy = tmp_path / "copy.json"
     save_model(load_model(path), copy)
     assert copy.read_bytes() == path.read_bytes()
@@ -940,15 +960,19 @@ def test_model_file_records_no_path(workspace, tmp_path, monkeypatch, mode):
         field.key for field in FIELDS if field.key in RUN_CONFIG_KEYS
     ]
     assert run_config["mode"] == mode
+    if mode == "som":
+        # the search that trained it: the full field, global and unnormalized
+        assert run_config["mrf.bmu_scope"] == "global-masked"
+        assert run_config["mrf.distance_normalization"] == "unnormalized"
 
 
 def test_load_model_diagnostics(tmp_path):
     path = tmp_path / "m.json"
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         path.write_text(f'{{"format": "rfsom-model", "version": {version}}}')
         with pytest.raises(ParseError, match=f"unsupported model version {version}"):
             load_model(path)
-    path.write_text('{"format": "rfsom-model", "version": 4}')
+    path.write_text('{"format": "rfsom-model", "version": 5}')
     with pytest.raises(ParseError, match="missing key 'run_config'"):
         load_model(path)
 
@@ -967,6 +991,8 @@ BAD_MODELS = {
     "version-1": (lambda doc: doc.update(version=1), "unsupported model version 1"),
     "version-2": (lambda doc: doc.update(version=2), "unsupported model version 2"),
     "version-3": (lambda doc: doc.update(version=3), "unsupported model version 3"),
+    # a version-4 som file states a distance normalization it did not use
+    "version-4": (lambda doc: doc.update(version=4), "unsupported model version 4"),
     "unknown-top-level-key": (
         lambda doc: doc.update(lattice={"rows": 4, "cols": 4}), "unknown key 'lattice'"
     ),
@@ -1010,9 +1036,21 @@ BAD_MODELS = {
         _set("run_config", "lattice.rows", str(MAX_NEURONS + 1)),
         f"run_config: invalid configuration: lattice.rows x lattice.cols = {MAX_NEURONS + 1}x4",
     ),
-    "mrf-without-mask": (lambda doc: doc.update(mask=None), "mode 'mrf' needs a mask"),
+    "mrf-without-mask": (
+        lambda doc: doc.update(mask=None), "key 'mask' has unexpected type NoneType"
+    ),
     "som-with-mask": (
-        _set("run_config", "mode", "som"), "mode 'som' needs \"mask\": null"
+        lambda doc: doc["run_config"].update(
+            {"mode": "som", "mrf.distance_normalization": "unnormalized"}
+        ),
+        "mode 'som' needs the all-true, unlabelled mask",
+    ),
+    "som-with-rms-search": (
+        lambda doc: (
+            doc["run_config"].update(mode="som"),
+            doc.update(mask={"mask": [[1] * 7] * 16, "groups": None}),
+        ),
+        "mode 'som' needs the all-true, unlabelled mask, searched global-masked and unnormalized",
     ),
 }
 
@@ -1033,15 +1071,37 @@ def test_malformed_model_rejected_before_any_write(workspace, tmp_path, edit, me
     assert not out.exists()
 
 
-# field edit of a loaded global-masked model -> expected error
+def test_model_repeated_key_exit4(workspace, tmp_path, capsys):
+    """A key given twice in one object of model.json, here in run_config, is
+    refused by name rather than read as its last value."""
+    text = (workspace / "run" / "model.json").read_text()
+    path = tmp_path / "model.json"
+    path.write_text(text.replace('"mode": "mrf",', '"mode": "som",\n    "mode": "mrf",', 1))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: repeated key 'mode'")):
+        load_model(path)
+    out = tmp_path / "out"
+    assert run_cli("export", "--model", str(path), "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"error: {path}: repeated key 'mode'\n"
+    assert not out.exists()
+
+
+def _som_over_quadrants(model):
+    """A som model, run_config included, that keeps the quadrant mask."""
+    som = {"mode": "som", "mrf.distance_normalization": "unnormalized"}
+    return {"mode": "som", "mrf_config": MrfConfig("global-masked", "unnormalized"),
+            "run_config": model.run_config | som}
+
+
+# field edit of a loaded global-masked model (or a function of the model giving
+# one) -> expected error
 DISAGREEING_MODELS = {
-    "mode": ({"mode": "som", "mask": None}, "model mode 'som' disagrees with run_config"),
+    "mode": ({"mode": "som"}, "model mode 'som' disagrees with run_config"),
     "mrf-config": (
         {"mrf_config": MrfConfig(bmu_scope="per-group")}, "model mrf_config MrfConfig(bmu_scope"
     ),
     "schedule": ({"schedule": TrainSchedule(epochs=1)}, "model schedule TrainSchedule(epochs=1"),
     "joints": ({"joints": joint_names(7)[::-1]}, "model joints ('wrist'"),
-    "mode-and-mask": ({"mask": None}, "mode 'mrf' needs a mask"),
+    "mode-and-mask": (_som_over_quadrants, "mode 'som' needs the all-true, unlabelled mask"),
     "lattice": (
         {"codebook": init_codebook(LatticeSpec(metric="hex-axial"), 7, 0)},
         "model lattice LatticeSpec(rows=4, cols=4, metric='hex-axial')",
@@ -1054,6 +1114,8 @@ DISAGREEING_MODELS = {
 )
 def test_model_disagreeing_with_run_config_rejected(workspace, fields, message):
     model = load_model(workspace / "run" / "model.json")
+    if callable(fields):
+        fields = fields(model)
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(model, **fields)
 

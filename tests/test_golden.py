@@ -14,6 +14,11 @@ The three ``*/train`` digests were re-recorded again when file paths left
 the configuration: model.json version 4 records only the 13 keys ``train``
 reads, with no ``out``, ``dataset`` or ``mask`` path and no ``n``,
 ``max_attempts`` or ``chain.*`` key; every other artifact kept every byte.
+The three ``*/train`` digests were re-recorded once more for model.json
+version 5: a som model stores its all-true, unlabelled mask instead of
+``null`` and records the global-masked, unnormalized search that trained
+it, and every model.json states version 5; codebooks, training logs and
+every other artifact kept every byte.
 A change that alters any artifact on purpose updates them and says why.
 
 The sampler digests pin the rows and the draw count of ``synthesize_self_touch``
@@ -37,13 +42,13 @@ TRAINS = {
 
 GOLDEN = {
     "gen": "b55e13e4910bc9d37a4030c680bd960b8c4691478837c7739631013f48dd2649",
-    "mrf-global/train": "58c7a6e4f003cfabfc7f3c67923fccefb5170aa3e719a2ea4baf0cdb540f40e1",
+    "mrf-global/train": "a7bc61d48ef3175d732c6205b22dbe5bfdc76772b3e872cdeb56187128cd0d7f",
     "mrf-global/eval": "04a43a36e7ff8ba61b662e3052b2c561d49f96197756cc35dc4648cdfc3f65d4",
     "mrf-global/export": "b3bbf6d140311dfd244bb4e6cac092b6d6c8f5a35773fc5f7b12f666de6401a6",
-    "mrf-group/train": "1fe29474bac0c44fe46a9379d593a71dcd9dc71ab546da80102500b67dc85f52",
+    "mrf-group/train": "b24538206695b92ffb23c822aadfd692bca0757ce4846e96af02b53da7b926f1",
     "mrf-group/eval": "342eabf90a90cb966d3ac16bb66dcaf7d8da24fa39baffd16fee066fe317cddc",
     "mrf-group/export": "af7a32aeabb42ad2c86fb7c394eac42226a894ff5054751d6f8f1b57edfb6e1f",
-    "som/train": "fea5d624fc964bda7473880d922d90c79c305ad18733694e42cd59456c43c669",
+    "som/train": "e06dd8b2b7eee2401abf30b47f558b0a4c1ee285fe9ca0b838c63f8e27f9fc38",
     "som/eval": "e03d932af24f44b65e941d3ddbae81fbebe47f98f897647a0e3e54e2b289fa8f",
     "som/export": "76c4e3dea6e977a88c116b0a3c9506e6a4024e3311f51cb72640655910411b75",
 }

@@ -665,6 +665,9 @@ def test_load_mask_parse_errors_name_lines(tmp_path):
     refused(MASK_DOC | {"format": "rfsom-model"}, "not a mask file (format='rfsom-model')")
     refused(MASK_DOC | {"version": 2}, "unsupported mask version 2")
     refused(MASK_DOC | {"version": True}, "unsupported mask version True")
+    # a repeated key is refused by name, not read as its last value
+    twice = json.dumps(MASK_DOC).replace('"version": 1', '"version": 7, "version": 1')
+    refused(twice, "repeated key 'version'")
     refused({k: v for k, v in MASK_DOC.items() if k != "rows"}, "missing key 'rows'")
     refused(MASK_DOC | {"cols": "2"}, "key 'cols' has unexpected type str")
     refused(MASK_DOC | {"dims": 3}, "unknown key 'dims'")
