@@ -284,12 +284,8 @@ class Model:
 
 
 def _model(cfg: RunConfig, codebook: Codebook, mask, normalization) -> Model:
-    """The Model of ``codebook`` trained under ``cfg``, which gives its mode,
-    masked configuration, schedule, joint names and run_config; a som map is
-    ``som._as_masked``'s all-true mask and unnormalized search instead."""
-    if cfg.mode == "som":
-        mask, mrf_config = _as_masked(codebook)
-        cfg = replace(cfg, mrf_config=mrf_config)
+    """The Model of ``codebook`` over ``mask`` under ``cfg``, which gives its
+    mode, masked configuration, schedule and run_config."""
     return Model(
         cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
         joint_names(codebook.dims), run_config_items(cfg),
@@ -344,9 +340,7 @@ def load_model(path) -> Model:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model: {exc}") from None
     try:
-        # the file states its mask and search, so a som model is checked, not resolved
-        return Model(cfg.mode, codebook, mask, cfg.mrf_config, normalization, cfg.schedule,
-                     joint_names(codebook.dims), run_config_items(cfg))
+        return _model(cfg, codebook, mask, normalization)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -376,12 +370,11 @@ def cmd_generate(cfg: RunConfig, out: str) -> int:
 
 def cmd_train(cfg: RunConfig, dataset: str, mask_path: str | None, out: str) -> int:
     """Normalize the dataset, train the configured map, write model + log;
-    an mrf map without ``mask_path`` gets the built-in quadrant mask."""
-    if cfg.mode == "som" and (mask_path is not None or cfg.mrf_config != MrfConfig()):
-        # the full-field map reads no mask and no masked configuration: refuse, not ignore
-        raise ValueError("--mode som takes no --mask, and --bmu-scope and "
-                         "--distance-normalization only at their defaults")
-    mask = None
+    an mrf map without ``mask_path`` gets the built-in quadrant mask, and a
+    som map ``som._as_masked``'s all-true mask and global unnormalized search."""
+    if cfg.mode == "som" and (mask_path is not None or cfg.mrf_config.bmu_scope == "per-group"):
+        # refuse, not ignore; either normalization passes: the som search's, or the default
+        raise ValueError("--mode som takes no --mask and no --bmu-scope per-group")
     if cfg.mode == "mrf":
         mask = default_quadrant_mask() if mask_path is None else load_mask(mask_path)
     raw = load_csv(dataset)
@@ -391,6 +384,8 @@ def cmd_train(cfg: RunConfig, dataset: str, mask_path: str | None, out: str) -> 
     if cfg.mode == "mrf":
         trained, log = mrf_train(codebook, data, mask, cfg.schedule, cfg.mrf_config)
     else:
+        mask, mrf_config = _as_masked(codebook)
+        cfg = replace(cfg, mrf_config=mrf_config)
         trained, log = train(codebook, data, cfg.schedule)
     os.makedirs(out, exist_ok=True)
     save_model(_model(cfg, trained, mask, normalization), os.path.join(out, "model.json"))

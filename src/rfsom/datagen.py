@@ -331,8 +331,9 @@ def save_csv(dataset, path) -> None:
 
 def load_csv(path) -> np.ndarray:
     """Read the dataset format back; exact inverse of ``save_csv`` at full
-    printed precision. Every cell must pass ``_check_values``; the first that
-    does not is reported with its line, column and text."""
+    printed precision. Every cell must be an ASCII decimal literal that
+    passes ``_check_values``; the first that is not is reported with its
+    line, column and text."""
     raw = read_lines(path)
     if not raw or raw[0] != CSV_HEADER:
         got = raw[0] if raw else ""
@@ -345,12 +346,17 @@ def load_csv(path) -> np.ndarray:
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(JOINT_NAMES)} columns, got {len(cells)}"
             )
-        for j, cell in enumerate(cells):
+        # float() also reads Python-only syntax (1_0, non-ASCII digits), which
+        # no ASCII line without "_" holds; elsewhere "" stands in for such a cell
+        texts = cells if line.isascii() and "_" not in line else [
+            cell if cell.isascii() and "_" not in cell else "" for cell in cells
+        ]
+        for j, text in enumerate(texts):
             try:
-                out[i, j] = float(cell)
+                out[i, j] = float(text)
             except ValueError:
                 raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: not a number: {cell!r}"
+                    f"{path}: line {lineno}, column {j + 1}: not a number: {cells[j]!r}"
                 ) from None
 
     def bad_cell(at, why):

@@ -32,7 +32,7 @@ from rfsom.lattice import LatticeSpec
 from rfsom.mrf import (
     MrfConfig, ReceptiveFieldMask, default_quadrant_mask, load_mask, save_mask,
 )
-from rfsom.som import TrainSchedule, init_codebook
+from rfsom.som import TrainSchedule, _as_masked, init_codebook
 
 EASY = ["--touch-radius", "0.5"]  # keeps rejection sampling fast in tests
 
@@ -514,33 +514,80 @@ def test_train_config_errors_exit4_without_output(tmp_path, capsys):
         "error: shoulder_pitch has std 0.0, below 1e-100; cannot normalize\n"
     )
     assert not out.exists()
+    # a cell only Python's float() reads is not a number
+    lines = (tmp_path / "tiny.csv").read_text().splitlines()
+    lines[2] = "1_0" + lines[2][lines[2].index(","):]
+    (tmp_path / "underscore.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli(*train_args(out, tmp_path / "underscore.csv")) == 4
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'underscore.csv'}: line 3, column 1: not a number: '1_0'\n"
+    )
+    assert not out.exists()
 
 
-# train option -> its value; a som map reads none of them
+# train option -> its value; a som map reads no mask and searches globally
 SOM_UNUSED = {
     "mask": ("--mask", "missing.mask"),
     "bmu-scope": ("--bmu-scope", "per-group"),
-    "distance-normalization": ("--distance-normalization", "unnormalized"),
 }
 
 
 @pytest.mark.parametrize("option", SOM_UNUSED.values(), ids=SOM_UNUSED.keys())
 def test_train_som_refuses_masked_inputs_exit4_before_reading(tmp_path, capsys, no_work, option):
-    """The full-field map uses no mask and no masked configuration, so a som
-    train given one exits 4 before it reads the (here missing) dataset or
-    mask, and writes nothing; at their defaults the two settings pass."""
+    """A som map's mask is all-true and its search global, so a som train
+    given a mask or the per-group scope exits 4 before it reads the (here
+    missing) dataset or mask, and writes nothing."""
     out = tmp_path / "out"
     extra = ("--mode", "som", *option)
     assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=extra)) == 4
     assert capsys.readouterr().err == (
-        "error: --mode som takes no --mask, and --bmu-scope and --distance-normalization "
-        "only at their defaults\n"
+        "error: --mode som takes no --mask and no --bmu-scope per-group\n"
     )
     assert not out.exists()
-    defaults = ("--mode", "som", "--bmu-scope", "global-masked",
-                "--distance-normalization", "rms-per-active-dim")
-    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=defaults)) == 4
+
+
+@pytest.mark.parametrize("normalization", ["rms-per-active-dim", "unnormalized"])
+def test_train_som_takes_global_scope_and_either_normalization(
+    tmp_path, capsys, no_work, normalization
+):
+    """unnormalized is the search a som model.json records, and an explicit
+    rms-per-active-dim is the default no flag gives, so a som train given
+    either, with the global scope, goes on to read its (here missing) dataset."""
+    out = tmp_path / "out"
+    extra = ("--mode", "som", "--bmu-scope", "global-masked",
+             "--distance-normalization", normalization)
+    assert run_cli(*train_args(out, tmp_path / "missing.csv", extra=extra)) == 4
     assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# train options of each map kind whose recorded run_config the replay test repeats
+REPLAYED = {
+    "som": ("--mode", "som"),
+    "mrf-global": ("--seed", "9", "--sigma0", "1.5", "--decay", "linear"),
+    "mrf-group": ("--bmu-scope", "per-group", "--metric", "hex-axial", "--alpha0", "0.3"),
+}
+
+
+@pytest.mark.parametrize("extra", REPLAYED.values(), ids=REPLAYED.keys())
+def test_recorded_run_config_replays_as_flags(workspace, tmp_path, extra):
+    """A model.json's run_config, passed back key by key as ``--<flag>=<value>``
+    (with an mrf map's mask saved to a file as ``--mask``), retrains on the
+    same dataset to the same model.json and train_log.csv bytes."""
+    dataset = workspace / "gen" / "dataset.csv"
+    first = tmp_path / "first"
+    assert run_cli(*train_args(first, dataset, epochs=2, extra=extra)) == 0
+    doc = json.loads((first / "model.json").read_text())
+    fields = {field.key: field for field in FIELDS}
+    flags = [f"--{fields[key].flag.replace('_', '-')}={value}"
+             for key, value in doc["run_config"].items()]
+    if doc["run_config"]["mode"] == "mrf":
+        save_mask(load_model(first / "model.json").mask, tmp_path / "model.mask")
+        flags += ["--mask", str(tmp_path / "model.mask")]
+    replay = tmp_path / "replay"
+    assert run_cli("train", "--dataset", str(dataset), *flags, "--out", str(replay)) == 0
+    for name in ("model.json", "train_log.csv"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_single_neuron_som_pipeline(workspace, tmp_path):
@@ -641,9 +688,11 @@ def test_evaluate_ignores_huge_masked_off_weight(workspace, tmp_path):
 def test_evaluate_dimension_mismatch_exit4(workspace, tmp_path, capsys):
     """A dataset with another header, or of 7 joints for a 3-dim model, is
     refused before any score or write."""
-    cfg = build_run_config({"mode": "som"})
+    codebook = init_codebook(LatticeSpec(), 3, 0)
+    mask, mrf_config = _as_masked(codebook)
+    cfg = dataclasses.replace(build_run_config({"mode": "som"}), mrf_config=mrf_config)
     normalization = NormalizationParams(np.zeros(3), np.ones(3))
-    model = _model(cfg, init_codebook(cfg.lattice, 3, 0), None, normalization)
+    model = _model(cfg, codebook, mask, normalization)
     save_model(model, tmp_path / "model.json")
     out = tmp_path / "out"
     dataset = str(workspace / "gen" / "dataset.csv")

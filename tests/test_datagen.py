@@ -489,6 +489,31 @@ def test_load_csv_parse_errors_name_location(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_refuses_python_only_number_syntax(tmp_path):
+    """A cell is an ASCII decimal literal: the underscores and non-ASCII
+    digits that ``float()`` also reads are refused with their location,
+    and nan keeps its own message."""
+    path = tmp_path / "python.csv"
+    row = ["0.5"] * 7
+    for cell in ("1_0", "\u0661", "\uff11.5", "1e1_0"):
+        row[2] = cell
+        path.write_text(CSV_HEADER + "\n" + ",".join(["0.1"] * 7) + "\n" + ",".join(row) + "\n")
+        message = f"{path}: line 3, column 3: not a number: {cell!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_csv(path)
+    # the first bad cell of a line is reported, whichever way it is bad
+    path.write_text(CSV_HEADER + "\n" + "0.1,zap,1_0,0.4,0.5,0.6,0.7\n")
+    with pytest.raises(ParseError, match=re.escape("line 2, column 2: not a number: 'zap'")):
+        load_csv(path)
+    path.write_text(CSV_HEADER + "\n" + "0.1,1_0,zap,0.4,0.5,0.6,0.7\n")
+    with pytest.raises(ParseError, match=re.escape("line 2, column 2: not a number: '1_0'")):
+        load_csv(path)
+    row[2] = "nan"
+    path.write_text(CSV_HEADER + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ParseError, match="line 2, column 3: value 'nan' is not finite"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_cells_beyond_the_magnitude_limit(tmp_path):
     """A finite cell above 1e100, whose squares could overflow, is refused
     with its line and column; the limit itself loads."""
