@@ -174,12 +174,17 @@ def heatmap_pgm_bytes(grid: np.ndarray) -> tuple[bytes, bytes]:
     return header + pixels.tobytes(), header + sidecar.tobytes()
 
 
-def report_json_dict(report: EncodingReport, dmap: NeuronDistanceMap) -> dict:
-    """Single JSON-ready document combining the encoding report and the
-    neuron distance map (fixed key order for byte-stable export)."""
+def report_json_dict(codebook: Codebook, mask: ReceptiveFieldMask) -> dict:
+    """All of report.json's content in file order: the encoding report, the
+    neuron distance map, and the cluster separation ratio (null unless every
+    body group labels some neuron) beside its reference."""
+    report = build_encoding_report(codebook, mask)
+    grouped = set(BODY_GROUPS) <= set(report.group_order)
     return {
         "group_order": report.group_order,
         "group_distances": report.group_distances.tolist(),
         "neurons": [asdict(n) for n in report.neurons],
-        "distance_map": dmap.grid.tolist(),
+        "distance_map": build_distance_map(codebook, mask).grid.tolist(),
+        "cluster_separation_ratio": cluster_separation_ratio(report) if grouped else None,
+        "cluster_separation_reference": CLUSTER_SEPARATION_REFERENCE,
     }

@@ -19,11 +19,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dataclass_field, is_dataclass, replace
 
 from .analysis import (
-    CLUSTER_SEPARATION_REFERENCE,
-    build_distance_map,
-    build_encoding_report,
     build_heatmaps,
-    cluster_separation_ratio,
     heatmap_csv_text,
     heatmap_pgm_bytes,
     report_json_dict,
@@ -46,7 +42,6 @@ from .fileio import (
 )
 from .lattice import LatticeSpec
 from .mrf import (
-    BODY_GROUPS,
     MrfConfig,
     ReceptiveFieldMask,
     _check_mask,
@@ -427,21 +422,13 @@ def cmd_export(cfg: RunConfig, model_path: str, out: str) -> int:
     """Write heatmap CSV/PGM sets and the distance-map + encoding report."""
     model = load_model(model_path)
     grids = build_heatmaps(model.codebook, model.mask)
-    dmap = build_distance_map(model.codebook, model.mask)
-    report = build_encoding_report(model.codebook, model.mask)
-    # the ratio needs every body group; a map without them reports null
-    grouped = set(BODY_GROUPS) <= set(report.group_order)
-    ratio = cluster_separation_ratio(report) if grouped else None
+    doc = {"format": "rfsom-report", "version": 2} | report_json_dict(model.codebook, model.mask)
     os.makedirs(out, exist_ok=True)
     for joint, grid in zip(model.joints, grids):
         atomic_write_text(os.path.join(out, f"heatmap_{joint}.csv"), heatmap_csv_text(grid))
         image, sidecar = heatmap_pgm_bytes(grid)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.pgm"), image)
         atomic_write_bytes(os.path.join(out, f"heatmap_{joint}.mask.pgm"), sidecar)
-    doc = {"format": "rfsom-report", "version": 2}
-    doc.update(report_json_dict(report, dmap))
-    doc["cluster_separation_ratio"] = ratio
-    doc["cluster_separation_reference"] = CLUSTER_SEPARATION_REFERENCE
     atomic_write_text(os.path.join(out, "report.json"), dump_json(doc))
     print(f"exported {len(grids)} heatmap sets and report.json -> {out}")
     return 0

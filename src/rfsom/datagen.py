@@ -329,6 +329,15 @@ def save_csv(dataset, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _plain(text: str) -> bool:
+    """False when ``text`` holds what float() reads beyond an ASCII decimal
+    literal: non-ASCII digits, 1_0, or ASCII whitespace around a number."""
+    return (
+        text.isascii() and "_" not in text and " " not in text and "\t" not in text
+        and "\x0b" not in text and "\x0c" not in text
+    )
+
+
 def load_csv(path) -> np.ndarray:
     """Read the dataset format back; exact inverse of ``save_csv`` at full
     printed precision. Every cell must be an ASCII decimal literal that
@@ -346,11 +355,9 @@ def load_csv(path) -> np.ndarray:
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(JOINT_NAMES)} columns, got {len(cells)}"
             )
-        # float() also reads Python-only syntax (1_0, non-ASCII digits), which
-        # no ASCII line without "_" holds; elsewhere "" stands in for such a cell
-        texts = cells if line.isascii() and "_" not in line else [
-            cell if cell.isascii() and "_" not in cell else "" for cell in cells
-        ]
+        # only a line that fails the test is checked cell by cell; there ""
+        # stands in for a cell that float() would read past the format
+        texts = cells if _plain(line) else [cell if _plain(cell) else "" for cell in cells]
         for j, text in enumerate(texts):
             try:
                 out[i, j] = float(text)

@@ -287,12 +287,19 @@ def test_heatmap_pgm_span_beyond_float_range():
 
 
 def test_report_json_key_order_and_serializable():
+    """report.json's content in file order; the ratio is null on a labelled
+    mask that lacks a body group."""
     mask = default_quadrant_mask()
     cb = init_codebook(LatticeSpec(), 7, 1)
-    rep = build_encoding_report(cb, mask)
-    dmap = build_distance_map(cb, mask)
-    doc = report_json_dict(rep, dmap)
-    assert list(doc) == ["group_order", "group_distances", "neurons", "distance_map"]
+    doc = report_json_dict(cb, mask)
+    assert list(doc) == [
+        "group_order",
+        "group_distances",
+        "neurons",
+        "distance_map",
+        "cluster_separation_ratio",
+        "cluster_separation_reference",
+    ]
     assert list(doc["neurons"][0]) == [
         "index",
         "group",
@@ -304,4 +311,10 @@ def test_report_json_key_order_and_serializable():
     back = json.loads(text)
     assert back["group_order"] == ["head", "shoulder", "elbow", "wrist"]
     assert len(back["neurons"]) == 16
+    assert math.isfinite(back["cluster_separation_ratio"])
+    assert back["cluster_separation_reference"] == 0.5
     assert dump_json(doc) == text  # deterministic
+    no_wrist = tuple("head" if home_group(g) == "wrist" else g for g in mask.groups)
+    doc = report_json_dict(cb, ReceptiveFieldMask(4, 4, mask.mask, no_wrist))
+    assert doc["group_order"] == ("head", "shoulder", "elbow")
+    assert doc["cluster_separation_ratio"] is None

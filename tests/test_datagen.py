@@ -490,12 +490,12 @@ def test_load_csv_parse_errors_name_location(tmp_path):
 
 
 def test_load_csv_refuses_python_only_number_syntax(tmp_path):
-    """A cell is an ASCII decimal literal: the underscores and non-ASCII
-    digits that ``float()`` also reads are refused with their location,
-    and nan keeps its own message."""
+    """A cell is an ASCII decimal literal: the underscores, non-ASCII digits
+    and surrounding ASCII whitespace that ``float()`` also reads are refused
+    with their location, and nan keeps its own message."""
     path = tmp_path / "python.csv"
     row = ["0.5"] * 7
-    for cell in ("1_0", "\u0661", "\uff11.5", "1e1_0"):
+    for cell in ("1_0", "\u0661", "\uff11.5", "1e1_0", " 1.0", "0.1\t", "\x0c0.1", "\x0b1"):
         row[2] = cell
         path.write_text(CSV_HEADER + "\n" + ",".join(["0.1"] * 7) + "\n" + ",".join(row) + "\n")
         message = f"{path}: line 3, column 3: not a number: {cell!r}"
